@@ -2,7 +2,7 @@
 
 A Figure-20-style rotation-invariant DTW workload (projectile-point
 corpus, Sakoe-Chiba band R=5) run under **every** enumerable fixed plan
--- each tier subset and legal order, batch and scalar leaves -- and under
+-- each tier subset in every legal order -- and under
 ``strategy="auto"`` with a live :class:`~repro.core.planner.Planner`
 receiving per-query telemetry (tier funnels *and* measured wall clock,
 which drives its probe-then-commit latency tie-break).  For each

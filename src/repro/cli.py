@@ -702,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan",
         default=None,
         metavar="SPEC",
-        help="query plan: 'auto' (cost-model planner) or 'fixed:<tier>[><tier>...][:batch|:scalar]', "
-        "e.g. fixed:kim>keogh>improved:batch or fixed:none:scalar; implies --strategy auto",
+        help="query plan: 'auto' (cost-model planner) or 'fixed:<tier>[><tier>...]', "
+        "e.g. fixed:kim>keogh>improved or fixed:none; implies --strategy auto",
     )
     search.add_argument("--mirror", action="store_true")
     search.add_argument("--max-degrees", type=float, default=None)
@@ -814,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help=(
             "query plan: 'auto' (cost-model planner, the default) or "
-            "'fixed:<tier>[><tier>...][:batch|:scalar]', e.g. fixed:keogh>improved:batch"
+            "'fixed:<tier>[><tier>...]', e.g. fixed:keogh>improved"
         ),
     )
     serve.add_argument(

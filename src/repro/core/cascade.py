@@ -49,9 +49,8 @@ __all__ = [
 ]
 
 #: Canonical cascade order: cheapest admissible test first.  Plans may
-#: drop tiers or permute them (exactness only needs admissibility, which
-#: every tier has independently), but the *batch* leaf-run path in
-#: ``hmerge`` is specialised to this order.
+#: drop tiers or permute them: exactness only needs admissibility, which
+#: every tier has independently.
 CASCADE_TIERS = ("kim", "keogh", "improved")
 
 #: Keys every tier-stats dict exposes, cascade or not.  Non-cascade search
@@ -236,18 +235,6 @@ class CascadePolicy:
                 "LB_Improved refines the Keogh pass and must follow it"
             )
         return kept
-
-    @property
-    def batch_compatible(self) -> bool:
-        """Whether the batched leaf-run path may serve this tier order.
-
-        The vectorised run evaluator in ``hmerge`` hardcodes the canonical
-        Kim -> Keogh -> Improved order and always runs a Keogh pass; any
-        plan that drops Keogh or permutes tiers must fall back to the
-        scalar per-leaf cascade (same answers, different step profile).
-        """
-        canonical_subset = tuple(t for t in CASCADE_TIERS if t in self.tiers)
-        return "keogh" in self.tiers and self.tiers == canonical_subset
 
     def reset(self) -> None:
         """Zero the funnel counters and drop per-candidate memos.

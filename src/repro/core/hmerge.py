@@ -38,7 +38,6 @@ def h_merge(
     counter: StepCounter | None = None,
     order: str = "dfs",
     pruner=None,
-    batch_leaves: bool = True,
     tracer=None,
 ) -> tuple[float, int]:
     """Distance from ``candidate`` to the nearest sequence under the wedges.
@@ -67,17 +66,11 @@ def h_merge(
         LB_Kim -> LB_Keogh -> LB_Improved -> distance cascade, and tier
         rejection counts accumulate on the policy.  ``None`` keeps the
         plain LB_Keogh-only traversal.
-    batch_leaves:
-        Evaluate runs of consecutive sibling leaves on the frontier through
-        the measure's batched kernels (one vectorised bound pass, then full
-        distances in best-bound order) instead of one scalar call per leaf.
-        Answers are identical; only the evaluation order inside a run
-        changes.
     tracer:
         A :class:`~repro.obs.trace.Tracer` receiving one event per frontier
-        pop and a span per batched leaf run.  ``None`` (the default) uses
-        the no-op null tracer; per-tier cascade events come from the
-        ``pruner``'s own tracer.  Tracing never changes step accounting.
+        pop.  ``None`` (the default) uses the no-op null tracer; per-tier
+        cascade events come from the ``pruner``'s own tracer.  Tracing
+        never changes step accounting.
 
     Returns
     -------
@@ -89,11 +82,6 @@ def h_merge(
         raise ValueError(f"unknown traversal order {order!r}")
     candidate = np.asarray(candidate, dtype=np.float64)
     tracer = NULL_TRACER if tracer is None else tracer
-    if batch_leaves and pruner is not None and not getattr(pruner, "batch_compatible", True):
-        # The batched run evaluator hardcodes the canonical Kim -> Keogh ->
-        # Improved order; non-canonical plans fall back to the scalar
-        # per-leaf cascade (identical answers, different step profile).
-        batch_leaves = False
     best = float(r)
     best_idx = -1
 
@@ -104,28 +92,10 @@ def h_merge(
     while stack:
         wedge = stack.pop()
         if wedge.is_leaf:
-            run = [wedge]
-            if batch_leaves:
-                # The frontier often exposes whole sibling groups of leaves
-                # at once; drain the contiguous run and evaluate it in one
-                # batched pass.
-                while stack and stack[-1].is_leaf:
-                    run.append(stack.pop())
-            if len(run) == 1:
-                dist = _leaf_distance(candidate, wedge, measure, best, counter, pruner)
-                if dist < best:
-                    best = dist
-                    best_idx = wedge.indices[0]
-            else:
-                if tracer.enabled:
-                    with tracer.span("hmerge.leaf_run", size=len(run)):
-                        best, best_idx = _evaluate_leaf_run(
-                            candidate, run, measure, best, best_idx, counter, pruner, tracer
-                        )
-                else:
-                    best, best_idx = _evaluate_leaf_run(
-                        candidate, run, measure, best, best_idx, counter, pruner, tracer
-                    )
+            dist = _leaf_distance(candidate, wedge, measure, best, counter, pruner)
+            if dist < best:
+                best = dist
+                best_idx = wedge.indices[0]
             continue
         if pruner is not None:
             lb = pruner.wedge_bound(candidate, wedge, best, counter)
@@ -155,7 +125,8 @@ def _leaf_distance(
     counter: StepCounter | None,
     pruner,
 ) -> float:
-    """Scalar cascade for a single frontier leaf."""
+    """Evaluate one frontier leaf: the pruner's cascade, or without one
+    plain LB_Keogh and then the distance."""
     if pruner is not None:
         return pruner.leaf_distance(candidate, leaf, threshold, counter)
     upper, lower = leaf.envelope_for(measure, counter=counter)
@@ -165,103 +136,6 @@ def _leaf_distance(
     if measure.lb_exact_for_singleton:
         return lb
     return measure.distance(candidate, leaf.series, threshold, counter=counter)
-
-
-def _evaluate_leaf_run(
-    candidate: np.ndarray,
-    run: list[Wedge],
-    measure: Measure,
-    best: float,
-    best_idx: int,
-    counter: StepCounter | None,
-    pruner,
-    tracer=NULL_TRACER,
-) -> tuple[float, int]:
-    """Batched frontier evaluation of a run of sibling leaves.
-
-    One vectorised lower-bound pass (LB_Keogh, tightened by LB_Improved
-    when the measure supports it) over the whole run, then full distances
-    over the survivors in best-bound order -- the tightest candidates
-    shrink the threshold first, so later survivors abandon sooner.  The
-    entering threshold of the bound pass is the fixed ``best`` (looser
-    than the strictly sequential scan would use), so no leaf the scalar
-    path would keep is ever dropped: answers are identical.
-    """
-    leaves = run
-    if pruner is not None:
-        pruner.leaf_candidates += len(run)
-    if pruner is not None and pruner.use_kim:
-        kept = []
-        for leaf in leaves:
-            upper, lower = leaf.envelope_for(measure, counter=counter)
-            kim = pruner._kim(candidate, leaf, upper, lower, counter)
-            if kim >= best:
-                pruner.kim_rejections += 1
-                if tracer.enabled:
-                    tracer.event("cascade.kim", outcome="reject", kind="leaf", bound=float(kim))
-            else:
-                kept.append(leaf)
-        leaves = kept
-        if not leaves:
-            return best, best_idx
-    if pruner is not None:
-        pruner.keogh_reached += len(leaves)
-
-    if measure.lb_exact_for_singleton:
-        # Euclidean: the leaf bound IS the distance; one running scan with
-        # the cumulative-minimum threshold discipline gives bit-identical
-        # sequential step accounting.
-        rows = np.stack([leaf.series for leaf in leaves])
-        abandons_before = counter.early_abandons if counter is not None else 0
-        with tracer.span("batch.min_distance", rows=len(leaves), backend=measure.backend_name):
-            dist, j = measure.batch_min_distance(candidate, rows, r=best, counter=counter)
-        if pruner is not None and counter is not None:
-            pruner.keogh_rejections += counter.early_abandons - abandons_before
-        if dist < best:
-            return dist, leaves[j].indices[0]
-        return best, best_idx
-
-    envelopes = [leaf.envelope_for(measure, counter=counter) for leaf in leaves]
-    uppers = np.stack([env[0] for env in envelopes])
-    lowers = np.stack([env[1] for env in envelopes])
-    raw = np.stack([leaf.series for leaf in leaves])
-    use_improved = pruner.use_improved if pruner is not None else True
-    with tracer.span("batch.wedge_bounds", rows=len(leaves), backend=measure.backend_name):
-        bounds = measure.batch_wedge_bounds(
-            candidate,
-            uppers,
-            lowers,
-            raw,
-            raw,
-            r=best,
-            counter=counter,
-            use_improved=use_improved,
-        )
-    if pruner is not None:
-        finite = np.isfinite(bounds)
-        pruner.keogh_rejections += int((~finite).sum())
-        rejected = int((finite & (bounds >= best)).sum())
-        if use_improved and measure.has_improved_bound and math.isfinite(best):
-            # Finite bounds survived the LB_Keogh pass and entered the
-            # LB_Improved stage; rows abandoned in pass 1 came back inf.
-            pruner.improved_reached += int(finite.sum())
-            pruner.improved_rejections += rejected
-        else:
-            # No improved tier ran: only the survivors proceed past Keogh.
-            pruner.improved_reached += int((bounds < best).sum())
-            pruner.keogh_rejections += rejected
-    surviving = np.flatnonzero(bounds < best)
-    if surviving.size == 0:
-        return best, best_idx
-    by_bound = surviving[np.argsort(bounds[surviving], kind="stable")]
-    if pruner is not None:
-        pruner.full_computations += int(by_bound.size)
-    rows = raw[by_bound]
-    with tracer.span("batch.min_distance", rows=int(by_bound.size), backend=measure.backend_name):
-        dist, j = measure.batch_min_distance(candidate, rows, r=best, counter=counter)
-    if dist < best:
-        return dist, leaves[int(by_bound[j])].indices[0]
-    return best, best_idx
 
 
 def _h_merge_best_first(

@@ -4,8 +4,8 @@ Every lower-bound tier in the cascade is independently admissible, so *any*
 subset of tiers in *any* order returns exactly the same neighbours -- the
 only thing a plan changes is how much work the search does.  That freedom
 is what this module exploits: a :class:`QueryPlan` pins down the knobs a
-query can vary (strategy, cascade tier set and order, batched vs scalar
-leaf runs, kernel backend), and a :class:`Planner` picks one per query from
+query can vary (strategy, cascade tier set and order, kernel backend),
+and a :class:`Planner` picks one per query from
 
 * **static dataset statistics** (database size, series length, rotation-set
   size, measure) -- enough to seed a sensible default before any traffic; and
@@ -55,15 +55,13 @@ class QueryPlan:
 
     strategy: str = "wedge"
     tiers: tuple[str, ...] = CASCADE_TIERS
-    batch_leaves: bool = True
     backend: str | None = None
 
     @property
     def name(self) -> str:
-        """Canonical human-readable name, e.g. ``wedge:kim>keogh>improved:batch``."""
+        """Canonical human-readable name, e.g. ``wedge:kim>keogh>improved``."""
         tier_part = ">".join(self.tiers) if self.tiers else "none"
-        leaf_part = "batch" if self.batch_leaves else "scalar"
-        base = f"{self.strategy}:{tier_part}:{leaf_part}"
+        base = f"{self.strategy}:{tier_part}"
         if self.backend:
             base += f":{self.backend}"
         return base
@@ -73,7 +71,6 @@ class QueryPlan:
         return {
             "strategy": self.strategy,
             "tiers": list(self.tiers),
-            "batch_leaves": self.batch_leaves,
             "backend": self.backend,
             "name": self.name,
         }
@@ -83,7 +80,6 @@ class QueryPlan:
         return cls(
             strategy=payload.get("strategy", "wedge"),
             tiers=tuple(payload.get("tiers", CASCADE_TIERS)),
-            batch_leaves=bool(payload.get("batch_leaves", True)),
             backend=payload.get("backend"),
         )
 
@@ -126,65 +122,42 @@ def _tiers_valid(tiers: tuple[str, ...]) -> bool:
     return True
 
 
-def _batch_compatible(tiers: tuple[str, ...]) -> bool:
-    canonical_subset = tuple(t for t in CASCADE_TIERS if t in tiers)
-    return "keogh" in tiers and tiers == canonical_subset
-
-
 def default_plan(measure: Measure, backend: str | None = None) -> QueryPlan:
     """The plan every release before the planner hardcoded."""
-    return QueryPlan(strategy="wedge", tiers=canonical_tiers(measure), batch_leaves=True, backend=backend)
+    return QueryPlan(strategy="wedge", tiers=canonical_tiers(measure), backend=backend)
 
 
 def enumerate_plans(measure: Measure, backend: str | None = None) -> list[QueryPlan]:
-    """Every executable wedge plan for ``measure``: tier subsets x orders x
-    batch/scalar (batch only where the batched leaf path supports the order).
+    """Every executable wedge plan for ``measure``: tier subsets x orders.
 
     This is the space the plan-invariance fuzz suite quantifies over and the
     space :func:`parse_plan` accepts as ``fixed:`` specs.
     """
     supported = _supported_tiers(measure)
-    plans: list[QueryPlan] = []
-    seen: set[tuple] = set()
-    for r in range(len(supported) + 1):
-        for subset in itertools.combinations(supported, r):
-            for order in itertools.permutations(subset):
-                if not _tiers_valid(order):
-                    continue
-                variants = [False]
-                if _batch_compatible(order):
-                    variants.append(True)
-                for batch in variants:
-                    key = (order, batch)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    plans.append(
-                        QueryPlan(strategy="wedge", tiers=order, batch_leaves=batch, backend=backend)
-                    )
-    return plans
+    return [
+        QueryPlan(strategy="wedge", tiers=order, backend=backend)
+        for r in range(len(supported) + 1)
+        for subset in itertools.combinations(supported, r)
+        for order in itertools.permutations(subset)
+        if _tiers_valid(order)
+    ]
 
 
 def parse_plan(spec: str, measure: Measure | None = None, backend: str | None = None):
     """Parse a CLI/service plan spec.
 
     ``"auto"`` returns ``None`` (callers construct a :class:`Planner`);
-    ``"fixed:<t1>[><t2>...][:batch|:scalar]"`` returns the pinned
-    :class:`QueryPlan`.  ``fixed:none`` runs no lower-bound tier at all.
+    ``"fixed:<t1>[><t2>...]"`` returns the pinned :class:`QueryPlan`.
+    ``fixed:none`` runs no lower-bound tier at all.
     """
     spec = spec.strip()
     if spec == "auto":
         return None
     if not spec.startswith("fixed:"):
         raise ValueError(f"plan spec must be 'auto' or 'fixed:...', got {spec!r}")
-    body = spec[len("fixed:") :]
-    parts = body.split(":")
-    tier_part = parts[0]
-    leaf_part = parts[1] if len(parts) > 1 else "batch"
-    if len(parts) > 2:
-        raise ValueError(f"unrecognised plan spec {spec!r}")
-    if leaf_part not in ("batch", "scalar"):
-        raise ValueError(f"leaf mode must be 'batch' or 'scalar', got {leaf_part!r}")
+    tier_part = spec[len("fixed:") :]
+    if ":" in tier_part:
+        raise ValueError(f"unrecognised plan spec {spec!r}; expected 'fixed:<t1>[><t2>...]'")
     tiers = () if tier_part in ("none", "") else tuple(tier_part.split(">"))
     for name in tiers:
         if name not in CASCADE_TIERS:
@@ -195,8 +168,7 @@ def parse_plan(spec: str, measure: Measure | None = None, backend: str | None = 
         raise ValueError(f"plan {spec!r} runs 'improved' without a preceding 'keogh'")
     if measure is not None:
         tiers = tuple(t for t in tiers if t in _supported_tiers(measure))
-    batch = leaf_part == "batch" and _batch_compatible(tiers)
-    return QueryPlan(strategy="wedge", tiers=tiers, batch_leaves=batch, backend=backend)
+    return QueryPlan(strategy="wedge", tiers=tiers, backend=backend)
 
 
 class Planner:
@@ -223,9 +195,9 @@ class Planner:
     overhead) can make a step-expensive plan wall-cheap.  When callers also
     report measured per-query wall clock (``observe(..., wall_seconds=...,
     plan=...)``, as ``auto_search`` does), the planner probes a small
-    shortlist of candidate plans -- the step model's pick in both leaf
-    modes plus the minimal plans it cannot rank -- and commits to the
-    measured fastest, re-evaluating as samples accumulate.  Without wall
+    shortlist of candidate plans -- the step model's pick plus the minimal
+    plans it cannot rank -- and commits to the measured fastest,
+    re-evaluating as samples accumulate.  Without wall
     telemetry (the sharded service's deterministic path) the steps model
     alone decides.
 
@@ -260,7 +232,7 @@ class Planner:
         self.plan_switches = 0
         self.decisions: list[dict] = []
         self._current: QueryPlan | None = None
-        #: Measured per-query wall clock keyed by (tiers, batch_leaves).
+        #: Measured per-query wall clock keyed by tier tuple.
         #: Populated only when callers report ``wall_seconds`` (the span
         #: cost the obs layer already times); empty = steps-model only.
         self._wall_samples: dict[tuple, list[float]] = {}
@@ -292,9 +264,7 @@ class Planner:
             self.cached_skipped += 1
             return
         if wall_seconds is not None and plan is not None:
-            samples = self._wall_samples.setdefault(
-                (plan.tiers, plan.batch_leaves), []
-            )
+            samples = self._wall_samples.setdefault(plan.tiers, [])
             samples.append(float(wall_seconds))
             del samples[: -self.MAX_WALL_SAMPLES]
         if not tier_stats:
@@ -371,33 +341,19 @@ class Planner:
         The step model ranks tiers by rejection value but cannot see
         constant factors, so the shortlist brackets its answer with the
         extremes it cannot rank: the no-bound plan, the cheapest single
-        tier, and the model's plan in both leaf modes.  Kept deliberately
-        small -- every candidate costs one measured query to probe.
+        tier, and the model's plan.  Kept deliberately small -- every
+        candidate costs one measured query to probe.
         """
-        cands: list[QueryPlan] = []
-        seen: set[tuple] = set()
-
-        def add(tiers: tuple[str, ...], batch: bool) -> None:
-            if batch and not _batch_compatible(tiers):
-                return
-            key = (tiers, batch)
-            if key in seen:
-                return
-            seen.add(key)
-            cands.append(
-                QueryPlan(strategy="wedge", tiers=tiers, batch_leaves=batch, backend=self.backend)
-            )
-
         if self.measure.lb_exact_for_singleton:
             # Keogh IS the distance: the keogh-only plan is the floor.
-            add(("keogh",), False)
+            shortlist = [("keogh",)]
         else:
-            add((), False)
-            if model_tiers:
-                add(model_tiers[:1], False)
-        add(model_tiers, False)
-        add(model_tiers, True)
-        return cands
+            shortlist = [(), model_tiers[:1]]
+        shortlist.append(model_tiers)
+        return [
+            QueryPlan(strategy="wedge", tiers=tiers, backend=self.backend)
+            for tiers in dict.fromkeys(shortlist)
+        ]
 
     def _wall_pick(self, model_tiers: tuple[str, ...]) -> QueryPlan | None:
         """Probe-then-commit over the shortlist, or ``None`` when wall
@@ -406,11 +362,11 @@ class Planner:
             return None
         cands = self._wall_candidates(model_tiers)
         for cand in cands:
-            samples = self._wall_samples.get((cand.tiers, cand.batch_leaves), [])
+            samples = self._wall_samples.get(cand.tiers, [])
             if len(samples) < self.PROBE_SAMPLES:
                 return cand  # still probing: measure this one next
         def mean_wall(cand: QueryPlan) -> float:
-            samples = self._wall_samples[(cand.tiers, cand.batch_leaves)]
+            samples = self._wall_samples[cand.tiers]
             return sum(samples) / len(samples)
 
         return min(cands, key=mean_wall)
@@ -447,12 +403,7 @@ class Planner:
         if trusted:
             plan = self._wall_pick(tiers)
         if plan is None:
-            plan = QueryPlan(
-                strategy="wedge",
-                tiers=tiers,
-                batch_leaves=_batch_compatible(tiers),
-                backend=self.backend,
-            )
+            plan = QueryPlan(strategy="wedge", tiers=tiers, backend=self.backend)
         if self._current is None or plan != self._current:
             if self._current is not None:
                 self.plan_switches += 1
@@ -478,9 +429,8 @@ class Planner:
     def wall_report(self) -> dict[str, dict]:
         """Measured per-plan wall clock (empty when never reported)."""
         report = {}
-        for (tiers, batch), samples in sorted(self._wall_samples.items()):
-            name = (">".join(tiers) or "none") + (":batch" if batch else ":scalar")
-            report[name] = {
+        for tiers, samples in sorted(self._wall_samples.items()):
+            report[">".join(tiers) or "none"] = {
                 "samples": len(samples),
                 "mean_wall_s": round(sum(samples) / len(samples), 6),
             }

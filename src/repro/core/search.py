@@ -383,7 +383,6 @@ def wedge_search(
     charge_setup: bool = True,
     use_kim: bool = False,
     use_improved: bool = True,
-    batch_leaves: bool = True,
     plan: QueryPlan | None = None,
     tracer=None,
     metrics: MetricsRegistry | None = None,
@@ -403,30 +402,26 @@ def wedge_search(
     :class:`~repro.core.cascade.CascadePolicy`: LB_Keogh against each
     frontier wedge, then (for DTW/LCSS with ``use_improved``) the two-pass
     LB_Improved tier, then the full distance; ``use_kim`` switches the
-    O(1) Kim pre-tier on; ``batch_leaves`` evaluates runs of sibling
-    leaves through the batched kernels.  The per-tier rejection counts are
-    returned on ``SearchResult.tier_stats``.
+    O(1) Kim pre-tier on.  The per-tier rejection counts are returned on
+    ``SearchResult.tier_stats``.
 
     ``plan`` supersedes the individual cascade toggles: a
-    :class:`~repro.core.planner.QueryPlan` pins the tier set *and order*,
-    the batch/scalar leaf mode, and (when ``backend`` is not given) the
-    kernel backend.  Any plan returns bit-identical answers -- the tiers
-    are each admissible on their own -- and the plan's canonical name is
-    stamped on the query span, the query-log record, and
-    ``SearchResult.plan``.
+    :class:`~repro.core.planner.QueryPlan` pins the tier set *and order*
+    and (when ``backend`` is not given) the kernel backend.  Any plan
+    returns bit-identical answers -- the tiers are each admissible on
+    their own -- and the plan's canonical name is stamped on the query
+    span, the query-log record, and ``SearchResult.plan``.
 
     ``tracer``/``metrics``/``query_log`` are the opt-in observability
     hooks: the tracer receives the full span tree (wedge-tree build,
-    H-Merge pops, cascade tiers, batch kernel calls), the registry and
-    logger record the finished query.  With a query log attached the
-    record additionally carries the K trajectory (the wedge-set size used
-    per object, probes included) and the best-so-far radius trace.
+    H-Merge pops, cascade tiers), the registry and logger record the
+    finished query.  With a query log attached the record additionally
+    carries the K trajectory (the wedge-set size used per object, probes
+    included) and the best-so-far radius trace.
     """
     tracer = NULL_TRACER if tracer is None else tracer
-    if plan is not None:
-        if backend is None:
-            backend = plan.backend
-        batch_leaves = plan.batch_leaves
+    if plan is not None and backend is None:
+        backend = plan.backend
     if backend is not None:
         measure = measure.with_backend(backend)
     t0 = perf_counter()
@@ -468,7 +463,6 @@ def wedge_search(
                         counter=counter,
                         order=order,
                         pruner=pruner,
-                        batch_leaves=batch_leaves,
                         tracer=tracer,
                     )
                     policy.observe_probe(k, counter.since_checkpoint())
@@ -485,7 +479,6 @@ def wedge_search(
                     counter=counter,
                     order=order,
                     pruner=pruner,
-                    batch_leaves=batch_leaves,
                     tracer=tracer,
                 )
                 if trajectories:

@@ -274,9 +274,13 @@ def lcss_batch(q, rows, delta, epsilon, required):
             if required > 0.0:
                 # From any cell on diagonal s, at most n - 1 - ceil(s/2)
                 # further matches remain (a match advances both coordinates).
-                remaining = n - 1 - ((s + 1) // 2)
-                reach = p1_best if p1_best > p2_best else p2_best
-                if reach + remaining < required:
+                # A path may also jump from diagonal s - 1 straight to s + 1,
+                # so that diagonal is credited with its own, larger budget.
+                reach = p1_best + (n - 1 - (s + 1) // 2)
+                reach_prev = p2_best + (n - 1 - s // 2)
+                if reach_prev > reach:
+                    reach = reach_prev
+                if reach < required:
                     doomed = True
                     break
         if doomed:

@@ -157,8 +157,11 @@ def _lcss_batch_wavefront(q, rows, delta: int, epsilon: float, required: float):
         if required > 0:
             # From any cell on diagonal s, at most n - 1 - ceil(s/2) further
             # matches are possible (each match advances both coordinates).
-            remaining = n - 1 - ((s + 1) // 2)
-            reachable = np.maximum(prev1_best, prev2_best) + remaining
+            # A path may also jump from diagonal s - 1 straight to s + 1, so
+            # that diagonal is credited with its own, larger budget.
+            reachable = np.maximum(
+                prev1_best + (n - 1 - (s + 1) // 2), prev2_best + (n - 1 - s // 2)
+            )
             doomed = (reachable < required) & alive
             if doomed.any():
                 alive &= ~doomed

@@ -64,7 +64,6 @@ def knn_search(
     counter: StepCounter | None = None,
     tracer=None,
     pruner=None,
-    batch_leaves: bool = True,
 ) -> list[Neighbor]:
     """The k nearest rotation-invariant neighbours, ascending by distance.
 
@@ -101,7 +100,6 @@ def knn_search(
             counter=counter,
             tracer=tracer,
             pruner=pruner,
-            batch_leaves=batch_leaves,
         )
         if not math.isfinite(dist):
             continue
@@ -125,7 +123,6 @@ def range_search(
     counter: StepCounter | None = None,
     tracer=None,
     pruner=None,
-    batch_leaves: bool = True,
 ) -> list[Neighbor]:
     """Every object within ``radius`` of the query under any rotation.
 
@@ -139,7 +136,7 @@ def range_search(
     shrinks, so pruning power is exactly the paper's "range" semantics for
     early abandoning (Definition 1).
     """
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     counter = counter if counter is not None else StepCounter()
     _rq, frontier = _prepare(query, measure, mirror, max_degrees, wedge_set_size, counter)
@@ -157,7 +154,6 @@ def range_search(
             counter=counter,
             tracer=tracer,
             pruner=pruner,
-            batch_leaves=batch_leaves,
         )
         if math.isfinite(dist) and dist <= radius:
             hits.append(Neighbor(i, dist, rotation))

@@ -98,7 +98,7 @@ class ShardDegradedError(RuntimeError):
         )
 
 
-def _search_one(request: dict, data, measure, counter, tracer=None, pruner=None, batch_leaves=True):
+def _search_one(request: dict, data, measure, counter, tracer=None, pruner=None):
     """Answer one normalized request against this worker's shard slice."""
     from repro.mining.queries import knn_search, range_search
     from repro.obs.trace import NULL_TRACER
@@ -112,7 +112,6 @@ def _search_one(request: dict, data, measure, counter, tracer=None, pruner=None,
         "counter": counter,
         "tracer": tracer if tracer is not None else NULL_TRACER,
         "pruner": pruner,
-        "batch_leaves": batch_leaves,
     }
     if kind == "knn":
         return knn_search(data, query, measure, k=int(request["k"]), **common)
@@ -204,14 +203,12 @@ def worker_main(
             plan_spec = message.get("plan")
             pruner = None
             plan_name = None
-            batch_leaves = True
             if plan_spec:
                 from repro.core.cascade import CascadePolicy
                 from repro.core.planner import QueryPlan
 
                 plan = QueryPlan.from_dict(plan_spec)
                 plan_name = plan.name
-                batch_leaves = plan.batch_leaves
                 pruner = CascadePolicy(measure, tiers=plan.tiers)
             # Adopt the coordinator's trace context when one was shipped
             # in the chunk; the subtree rides home in the reply as plain
@@ -257,7 +254,6 @@ def worker_main(
                         counter,
                         tracer if trace_ctx else None,
                         pruner=pruner,
-                        batch_leaves=batch_leaves,
                     )
                     wall = time.perf_counter() - start
                     query_span.set(steps=counter.steps)

@@ -255,16 +255,6 @@ class TestTierPlans:
         policy = CascadePolicy(EuclideanMeasure(), tiers=("kim", "keogh", "improved"))
         assert policy.tiers == ("kim", "keogh")
 
-    def test_batch_compatible_orders(self):
-        dtw = DTWMeasure(radius=2)
-        assert CascadePolicy(dtw).batch_compatible
-        assert CascadePolicy(dtw, tiers=("keogh", "improved")).batch_compatible
-        assert CascadePolicy(dtw, tiers=("keogh",)).batch_compatible
-        # Non-canonical order and keogh-less plans must run scalar leaves.
-        assert not CascadePolicy(dtw, tiers=("keogh", "kim")).batch_compatible
-        assert not CascadePolicy(dtw, tiers=("kim",)).batch_compatible
-        assert not CascadePolicy(dtw, tiers=()).batch_compatible
-
     def test_noncanonical_order_keeps_funnel_monotone(self):
         rng = np.random.default_rng(11)
         measure = DTWMeasure(radius=2)

@@ -68,7 +68,7 @@ class TestSearchCommand:
         base = ["search", "--collection", "points", "--size", "12", "--length",
                 "32", "--query-index", "1", "--measure", "dtw"]
         answers = {}
-        for extra in ([], ["--plan", "auto"], ["--plan", "fixed:keogh:scalar"],
+        for extra in ([], ["--plan", "auto"], ["--plan", "fixed:keogh"],
                       ["--plan", "fixed:none"], ["--plan", "fixed:kim>keogh>improved"]):
             assert main(base + extra) == 0
             out = capsys.readouterr().out

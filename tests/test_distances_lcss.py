@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.counters import StepCounter
 from repro.distances.lcss import LCSSMeasure, lcss_batch, lcss_similarity
+from repro.kernels import available_backends
+from repro.mining.queries import knn_search, range_search
 from tests.conftest import naive_lcss_similarity
 
 floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -152,3 +154,37 @@ class TestLCSSMeasure:
             LCSSMeasure(-1, 0.5)
         with pytest.raises(ValueError):
             LCSSMeasure(1, -0.5)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestLCSSAbandonment:
+    """Early abandoning must never drop a candidate that beats the threshold.
+
+    The abandon test bounds the matches still reachable from the last two
+    anti-diagonals; each must be credited with its own remaining budget,
+    or an odd diagonal is charged one match too few.
+    """
+
+    def test_threshold_just_above_distance_keeps_candidate(self, backend):
+        rng = np.random.default_rng(12)
+        measure = LCSSMeasure(delta=2, epsilon=0.5, backend=backend)
+        for _ in range(150):
+            n = int(rng.integers(6, 30))
+            q, c = rng.normal(size=n), rng.normal(size=n)
+            d = measure.distance(q, c)
+            for r in (d + 1e-12, d + 0.5 / n, d + 1.0 / n):
+                assert measure.distance(q, c, r) == d, (n, d, r)
+
+    def test_zero_radius_range_finds_every_exact_match(self, backend):
+        rng = np.random.default_rng(3)
+        n = 32
+        measure = LCSSMeasure(delta=2, epsilon=0.5, backend=backend)
+        query = rng.normal(size=n)
+        # Rotations of the query perturbed within epsilon sit at distance 0.
+        planted = [np.roll(query, int(rng.integers(n))) + rng.uniform(-0.2, 0.2, n) for _ in range(6)]
+        database = np.array(planted + [rng.normal(size=n) for _ in range(6)])
+        neighbours = knn_search(database, query, measure, k=len(database))
+        exact = sorted(nb.index for nb in neighbours if nb.distance == 0.0)
+        assert exact == list(range(6))
+        hits = range_search(database, query, measure, radius=0.0)
+        assert [nb.index for nb in hits] == exact

@@ -190,13 +190,12 @@ class TestBatchScalarAgreement:
 
 class TestFrontierZeroFalseDismissal:
     @pytest.mark.parametrize("measure", MEASURES, ids=MEASURE_IDS)
-    @pytest.mark.parametrize("batch_leaves", [True, False], ids=["batched", "scalar"])
-    def test_hmerge_frontier_matches_bruteforce(self, measure, batch_leaves, rng):
+    def test_hmerge_frontier_matches_bruteforce(self, measure, rng):
         n, m = 16, 12
         rows = np.cumsum(rng.normal(size=(m, n)), axis=1)
         leaves = [Wedge.from_series(row, i) for i, row in enumerate(rows)]
         # A frontier mixing single leaves with merged pairs exercises both
-        # the leaf-run batching and the internal-wedge descent.
+        # runs of sibling leaves and the internal-wedge descent.
         frontier = [
             Wedge.merge(leaves[0], leaves[1]),
             leaves[2],
@@ -210,7 +209,6 @@ class TestFrontierZeroFalseDismissal:
             measure,
             counter=StepCounter(),
             pruner=pruner,
-            batch_leaves=batch_leaves,
         )
         naive = [measure.distance(candidate, row) for row in rows]
         assert math.isclose(dist, min(naive), rel_tol=1e-9, abs_tol=1e-9)

@@ -86,6 +86,12 @@ class TestRangeSearch:
         with pytest.raises(ValueError):
             range_search(database, query, EuclideanMeasure(), radius=-1.0)
 
+    def test_rejects_nan_radius(self, database, query):
+        # NaN fails every comparison, so a ``radius < 0`` guard lets it
+        # through and the search silently answers ``[]``.
+        with pytest.raises(ValueError):
+            range_search(database, query, EuclideanMeasure(), radius=math.nan)
+
 
 class TestMotif:
     @pytest.mark.parametrize("measure", MEASURES, ids=["ed", "dtw"])

@@ -565,9 +565,8 @@ class TestObservationIsPure:
         assert tracer.find("hmerge.pop")
         cascade = [s for s in tracer.iter_spans() if s.name.startswith("cascade.")]
         assert cascade
-        # Final refinement: batched leaf runs land in batch.min_distance
-        # kernels; the per-leaf path uses cascade.full_distance spans.
-        assert tracer.find("batch.min_distance") or tracer.find("cascade.full_distance")
+        # Final refinement: every surviving leaf pays a cascade.full_distance.
+        assert tracer.find("cascade.full_distance")
 
     def test_non_cascade_strategies_carry_the_zeroed_sentinel(self, walks):
         result = brute_force_search(list(walks[1:]), walks[0], EuclideanMeasure())

@@ -2,9 +2,9 @@
 
 The hard invariant this file enforces is **plan invariance**: every plan
 :func:`~repro.core.planner.enumerate_plans` can emit -- any tier subset,
-any legal order, batch or scalar leaves -- returns answers bit-identical
-to brute force and to every other plan.  The planner is free to trade
-work; it is never free to change an answer.
+any legal order -- returns answers bit-identical to brute force and to
+every other plan.  The planner is free to trade work; it is never free
+to change an answer.
 
 On top of that sit the cost-model properties the issue pins:
 
@@ -34,6 +34,15 @@ from repro.distances.dtw import DTWMeasure
 from repro.distances.euclidean import EuclideanMeasure
 from repro.distances.lcss import LCSSMeasure
 from repro.mining.queries import knn_search
+
+
+#: Size of each measure's enumerable plan space: every tier subset in
+#: every order that keeps Keogh before Improved.
+PLAN_COUNTS = {"euclidean": 5, "dtw": 9, "lcss": 3}
+
+#: Leaf-mode suffixes an earlier plan-spec grammar accepted; every leaf now
+#: runs the per-leaf cascade, so a spec carrying one must be rejected.
+RETIRED_LEAF_MODES = ("batch", "scalar")
 
 
 def _measures():
@@ -70,9 +79,7 @@ class TestPlanInvariance:
         database = [np.cumsum(rng.standard_normal(24)) for _ in range(14)]
         query = np.cumsum(rng.standard_normal(24))
         reference = wedge_search(database, query, measure)
-        plans = enumerate_plans(measure)
-        assert len(plans) >= 5
-        for plan in plans:
+        for plan in enumerate_plans(measure):
             result = wedge_search(database, query, measure, plan=plan)
             assert (result.index, result.distance, result.rotation) == (
                 reference.index,
@@ -106,18 +113,12 @@ class TestPlanInvariance:
         ref_range = range_search(database, query, measure, radius=radius)
         for plan in enumerate_plans(measure):
             pruner = CascadePolicy(measure, tiers=plan.tiers)
-            got_knn = knn_search(
-                database, query, measure, k=4, pruner=pruner,
-                batch_leaves=plan.batch_leaves,
-            )
+            got_knn = knn_search(database, query, measure, k=4, pruner=pruner)
             assert [(nb.index, nb.distance, nb.rotation) for nb in got_knn] == [
                 (nb.index, nb.distance, nb.rotation) for nb in ref_knn
             ], plan.name
             pruner.reset()
-            got_range = range_search(
-                database, query, measure, radius=radius, pruner=pruner,
-                batch_leaves=plan.batch_leaves,
-            )
+            got_range = range_search(database, query, measure, radius=radius, pruner=pruner)
             assert [(nb.index, nb.distance, nb.rotation) for nb in got_range] == [
                 (nb.index, nb.distance, nb.rotation) for nb in ref_range
             ], plan.name
@@ -277,15 +278,10 @@ class TestPlanSpecs:
         measure = DTWMeasure(radius=2)
         for plan in enumerate_plans(measure):
             assert QueryPlan.from_dict(plan.to_dict()) == plan
-        plan = parse_plan("fixed:keogh>improved:batch", measure)
-        assert plan.name == "wedge:keogh>improved:batch"
+        plan = parse_plan("fixed:keogh>improved", measure)
+        assert plan.name == "wedge:keogh>improved"
+        assert parse_plan(plan.name.replace("wedge:", "fixed:"), measure) == plan
         assert parse_plan("fixed:none").tiers == ()
-
-    def test_scalar_and_default_leaf_modes(self):
-        assert parse_plan("fixed:kim>keogh:scalar").batch_leaves is False
-        assert parse_plan("fixed:kim>keogh").batch_leaves is True
-        # Batch silently downgrades when the order cannot run batched.
-        assert parse_plan("fixed:keogh>kim:batch").batch_leaves is False
 
     def test_measure_filters_unsupported_tiers(self):
         lcss = LCSSMeasure(delta=2, epsilon=0.5)
@@ -297,7 +293,8 @@ class TestPlanSpecs:
         [
             "bogus",
             "fixed:keogh:maybe",
-            "fixed:keogh:batch:extra",
+            *(f"fixed:kim>keogh:{mode}" for mode in RETIRED_LEAF_MODES),
+            f"fixed:keogh:{RETIRED_LEAF_MODES[0]}:extra",
             "fixed:frobnicate",
             "fixed:keogh>keogh",
             "fixed:improved",
@@ -313,9 +310,11 @@ class TestPlanSpecs:
         plans = enumerate_plans(measure)
         names = {p.name for p in plans}
         assert len(names) == len(plans)  # no duplicates
-        assert "wedge:kim>keogh>improved:batch" in names
-        assert "wedge:none:scalar" in names
-        assert "wedge:keogh>kim:scalar" in names
+        assert "wedge:kim>keogh>improved" in names
+        assert "wedge:none" in names
+        assert "wedge:keogh>kim" in names
+        for m in _measures():
+            assert len(enumerate_plans(m)) == PLAN_COUNTS[m.name]
         # Illegal orders never appear.
         for p in plans:
             if "improved" in p.tiers:

@@ -254,21 +254,21 @@ class TestServicePlanner:
     def test_fixed_plan_mode_bit_identical_and_reported(self, shard_dir, walks):
         measure = EuclideanMeasure()
         handle = start_service_thread(
-            shard_dir, measure, cache_size=0, plan="fixed:keogh:scalar"
+            shard_dir, measure, cache_size=0, plan="fixed:keogh"
         )
         try:
             query = walks[3] + 0.15
             response = handle.request({"op": "knn", "query": list(query), "k": 3})
             assert response["ok"]
             # The service stamps its resolved backend onto the plan name.
-            assert response["plan"].startswith("wedge:keogh:scalar")
+            assert response["plan"].startswith("wedge:keogh:")
             expected = knn_search(walks, query, measure, k=3)
             assert response["neighbors"] == [
                 [nb.index, nb.distance, nb.rotation] for nb in expected
             ]
             health = handle.request({"op": "health"})
             assert health["planner"]["mode"] == "fixed"
-            assert health["planner"]["plan"].startswith("wedge:keogh:scalar")
+            assert health["planner"]["plan"].startswith("wedge:keogh:")
         finally:
             handle.close()
 
@@ -285,7 +285,6 @@ class TestServicePlanner:
         assert reference["ok"]
         for plan in enumerate_plans(measure):
             spec = "fixed:" + (">".join(plan.tiers) or "none")
-            spec += ":batch" if plan.batch_leaves else ":scalar"
             handle = start_service_thread(shard_dir, measure, cache_size=0, plan=spec)
             try:
                 got = handle.request({"op": "knn", "query": list(query), "k": 4})

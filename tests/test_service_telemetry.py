@@ -186,7 +186,7 @@ class TestStitchedTrace:
         queries = [span for span in _trace_spans(trace) if span["name"] == "worker.query"]
         assert queries and all(span["attributes"]["steps"] > 0 for span in queries)
         tiers = {span["name"] for span in _trace_spans(trace)}
-        assert "hmerge.leaf_run" in tiers  # per-tier pruning spans survive the stitch
+        assert "hmerge.pop" in tiers  # per-tier pruning events survive the stitch
 
     def test_waterfall_renders_the_stitched_trace(self, trace):
         text = render_waterfall(trace, width=90)
