@@ -101,6 +101,9 @@ def run_cascade(archive, n_queries=4, seed=13):
             import math as _math
 
             best = _math.inf
+            # One leaf wedge per rotation for the whole query, so the
+            # policy's per-wedge envelope-extremes memo can hit.
+            leaves = {}
             for j, obj in enumerate(archive):
                 if j == qid:
                     continue
@@ -108,7 +111,9 @@ def run_cascade(archive, n_queries=4, seed=13):
                 # leaf-heavy workload so the tiers' contributions show).
                 for wedge in frontier:
                     for leaf_idx in wedge.indices[:: max(1, len(wedge.indices) // 4)]:
-                        leaf = _leaf_for(rq, leaf_idx)
+                        leaf = leaves.get(leaf_idx)
+                        if leaf is None:
+                            leaf = leaves[leaf_idx] = _leaf_for(rq, leaf_idx)
                         dist = policy.leaf_distance(obj, leaf, best if best < _math.inf else 10.0, counter)
                         if dist < best:
                             best = dist

@@ -437,6 +437,24 @@ class CascadePolicy:
             span.set(distance=float(dist))
         return dist
 
+    def add_block_funnel(self, pairs: int, survived: int, improved_rejections: int, refined: int) -> None:
+        """Fold one block-engine query (:mod:`repro.core.block`) into the funnel.
+
+        That engine counts (object, rotation) *pairs*: every pair is a leaf
+        candidate and reaches LB_Keogh (its visiting order, so it always
+        runs; ``kim`` tests nothing there); ``survived`` pairs passed it,
+        ``improved_rejections`` of them failed LB_Improved, and ``refined``
+        paid a pairwise kernel.  Euclidean pairs never reach a later tier:
+        their LB_Keogh is the distance.
+        """
+        self.leaf_candidates += pairs
+        self.keogh_reached += pairs
+        self.keogh_rejections += pairs - survived
+        if not self.measure.lb_exact_for_singleton:
+            self.improved_reached += survived
+        self.improved_rejections += improved_rejections
+        self.full_computations += refined
+
     def stats(self) -> dict[str, int]:
         """Tier funnel and rejection counts (for reports and ``repro obs``).
 

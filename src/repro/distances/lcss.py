@@ -250,14 +250,16 @@ class LCSSMeasure(Measure):
         bounds[finished] = first[finished]
         improve = use_improved and math.isfinite(r) and finished.any()
         if improve:
-            from repro.core.batch import batch_sliding_envelope
-
-            projection = np.clip(q[np.newaxis, :], lowers[finished], uppers[finished])
-            env_hi, env_lo = batch_sliding_envelope(projection, self.delta)
-            unmatchable = (raw_uppers[finished] < env_lo - self.epsilon) | (
-                raw_lowers[finished] > env_hi + self.epsilon
+            second = (
+                self.unmatchable_counts(
+                    q[np.newaxis, :],
+                    uppers[finished],
+                    lowers[finished],
+                    raw_uppers[finished],
+                    raw_lowers[finished],
+                )
+                / n
             )
-            second = unmatchable.sum(axis=1) / n
             bounds[finished] = np.maximum(bounds[finished], second)
             steps[finished] += 2 * n
         if counter is not None:
@@ -265,6 +267,23 @@ class LCSSMeasure(Measure):
             counter.add(int(steps.sum()))
             counter.early_abandons += int((~finished).sum())
         return bounds
+
+    def unmatchable_counts(self, rows, uppers, lowers, raw_uppers, raw_lowers) -> np.ndarray:
+        """LB_Improved's second pass per row, as integer counts.
+
+        Row ``t`` of ``rows`` is projected onto its expanded envelope
+        ``(uppers[t], lowers[t])``; the result counts the positions of the
+        raw arms ``(raw_uppers[t], raw_lowers[t])`` that lie wholly outside
+        the ``delta``/``epsilon`` band of that projection (see
+        :meth:`improved_lower_bound`).  ``rows`` broadcasts against the
+        ``(k, n)`` arms.
+        """
+        from repro.core.batch import batch_sliding_envelope
+
+        projection = np.clip(rows, lowers, uppers)
+        env_hi, env_lo = batch_sliding_envelope(projection, self.delta)
+        unmatchable = (raw_uppers < env_lo - self.epsilon) | (raw_lowers > env_hi + self.epsilon)
+        return unmatchable.sum(axis=1)
 
     def pairwise_cost(self, n: int) -> int:
         from repro.distances.dtw import band_cell_count

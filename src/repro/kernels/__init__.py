@@ -62,7 +62,8 @@ class KernelBackend:
 
     To add a backend: subclass, set a unique :attr:`name` and a
     :attr:`priority` reflecting its relative speed, implement the six
-    kernel methods, and call :func:`register_backend` (conditionally, if
+    kernel methods (``dtw_batch`` and ``lcss_batch`` come for free from
+    the pairwise kernels), and call :func:`register_backend` (conditionally, if
     the backend has optional dependencies).  The cross-backend parity
     suite in ``tests/test_kernels.py`` picks up registered backends
     automatically.
@@ -77,13 +78,35 @@ class KernelBackend:
         """Row-wise banded DTW of one pair: ``(distance, steps, abandoned)``."""
         raise NotImplementedError
 
-    def dtw_batch(self, q, rows, radius: int, r: float):
-        """Banded DTW of ``q`` against each row: ``(distances, steps, abandoned)``."""
+    def dtw_pairwise(self, qs, rows, radius: int, r):
+        """Banded DTW of each pair ``(qs[t], rows[t])``, abandoning pair ``t``
+        at its own threshold ``r[t]``: ``(distances, steps, abandoned)``."""
         raise NotImplementedError
 
-    def lcss_batch(self, q, rows, delta: int, epsilon: float, min_similarity: float):
-        """Banded LCSS similarities: ``(similarities, steps, abandoned)``."""
+    def lcss_pairwise(self, qs, rows, delta: int, epsilon: float, required):
+        """Banded LCSS similarity of each pair ``(qs[t], rows[t])``; pair ``t``
+        is abandoned once it cannot reach ``required[t]`` matches:
+        ``(similarities, steps, abandoned)``."""
         raise NotImplementedError
+
+    def dtw_batch(self, q, rows, radius: int, r: float):
+        """Banded DTW of ``q`` against each row: ``(distances, steps, abandoned)``.
+
+        The pairwise kernel with the query broadcast to every row.
+        """
+        q, rows = self._coerce(q, rows)
+        return self.dtw_pairwise(
+            np.broadcast_to(q, rows.shape), rows, radius, np.full(rows.shape[0], float(r))
+        )
+
+    def lcss_batch(self, q, rows, delta: int, epsilon: float, min_similarity: float):
+        """Banded LCSS similarities: ``(similarities, steps, abandoned)``.
+
+        The pairwise kernel with the query broadcast to every row.
+        """
+        q, rows = self._coerce(q, rows)
+        required = np.full(rows.shape[0], min_similarity * q.shape[0])
+        return self.lcss_pairwise(np.broadcast_to(q, rows.shape), rows, delta, epsilon, required)
 
     def lb_keogh(self, q, upper, lower, r: float) -> tuple[float, int]:
         """Early-abandoning LB_Keogh against an expanded envelope."""
@@ -108,6 +131,12 @@ class KernelBackend:
     @staticmethod
     def _squared_threshold(r: float) -> float:
         return r * r if math.isfinite(r) else math.inf
+
+    @staticmethod
+    def _squared_thresholds(r) -> np.ndarray:
+        """Per-pair squared thresholds (``+inf`` stays ``+inf``)."""
+        r = np.asarray(r, dtype=np.float64)
+        return r * r
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

@@ -17,7 +17,8 @@ Conventions shared by every kernel:
   to ``n - 1`` by the public wrappers in :mod:`repro.distances`;
 * ``threshold`` is the *squared* abandonment threshold (``r * r``), or
   ``+inf`` when no abandonment is requested -- comparisons against ``+inf``
-  are simply never true, so no separate flag is needed;
+  are simply never true, so no separate flag is needed; the pairwise
+  kernels take one such threshold per pair;
 * accumulations are strictly sequential (left to right), matching the
   library-wide rule that every partial sum is a cumulative sum, never a
   pairwise/BLAS reduction.
@@ -32,8 +33,8 @@ import numpy as np
 __all__ = [
     "diag_bounds",
     "dtw_single",
-    "dtw_batch",
-    "lcss_batch",
+    "dtw_pairwise",
+    "lcss_pairwise",
     "lb_keogh",
     "lb_improved_pass2",
     "lb_improved_batch",
@@ -106,19 +107,19 @@ def dtw_single(q, c, radius, threshold):
     return math.sqrt(final), steps, False
 
 
-def dtw_batch(q, rows, radius, threshold):
-    """Anti-diagonal banded DTW of ``q`` against every row of ``rows``.
+def dtw_pairwise(qs, rows, radius, thresholds):
+    """Anti-diagonal banded DTW of each pair ``(qs[t], rows[t])``.
 
-    Per-candidate twin of the vectorised wavefront kernel: each candidate
-    walks the anti-diagonals with three rotating cell buffers and is
-    abandoned once the minima of its two most recent diagonals both exceed
-    ``threshold`` (every complete path touches one of any two consecutive
-    anti-diagonals).  Steps are charged per diagonal *before* the doom
-    check, matching the batched kernel's accounting exactly.  Returns
-    ``(distances, steps, abandoned)``.
+    Per-pair twin of the vectorised wavefront kernel: each pair walks the
+    anti-diagonals with three rotating cell buffers and is abandoned once
+    the minima of its two most recent diagonals both exceed its own
+    squared threshold ``thresholds[t]`` (every complete path touches one
+    of any two consecutive anti-diagonals).  Steps are charged per
+    diagonal *before* the doom check, matching the batched kernel's
+    accounting exactly.  Returns ``(distances, steps, abandoned)``.
     """
     k = rows.shape[0]
-    n = q.shape[0]
+    n = rows.shape[1]
     distances = np.full(k, np.inf)
     abandoned = np.zeros(k, dtype=np.bool_)
     total_steps = 0
@@ -126,6 +127,7 @@ def dtw_batch(q, rows, radius, threshold):
     p2 = np.empty(n)
     wr = np.empty(n)
     for t in range(k):
+        threshold = thresholds[t]
         for x in range(n):
             p1[x] = np.inf
             p2[x] = np.inf
@@ -159,7 +161,7 @@ def dtw_batch(q, rows, radius, threshold):
             cur_min = np.inf
             for i in range(lo, hi + 1):
                 j = s - i
-                d = q[i] - rows[t, j]
+                d = qs[t, i] - rows[t, j]
                 local = d * d
                 if s == 0:
                     cell = local
@@ -198,16 +200,16 @@ def dtw_batch(q, rows, radius, threshold):
     return distances, total_steps, abandoned
 
 
-def lcss_batch(q, rows, delta, epsilon, required):
-    """Anti-diagonal banded LCSS of ``q`` against every row of ``rows``.
+def lcss_pairwise(qs, rows, delta, epsilon, required):
+    """Anti-diagonal banded LCSS of each pair ``(qs[t], rows[t])``.
 
-    ``required`` is the match count needed to stay viable
-    (``min_similarity * n``); a candidate is abandoned once even matching
-    every remaining point could not reach it.  Abandoned candidates report
-    similarity ``-inf``.  Returns ``(similarities, steps, abandoned)``.
+    ``required[t]`` is the match count pair ``t`` needs to stay viable; a
+    pair is abandoned once even matching every remaining point could not
+    reach it.  Abandoned pairs report similarity ``-inf``.  Returns
+    ``(similarities, steps, abandoned)``.
     """
     k = rows.shape[0]
-    n = q.shape[0]
+    n = rows.shape[1]
     sims = np.full(k, -np.inf)
     abandoned = np.zeros(k, dtype=np.bool_)
     total_steps = 0
@@ -215,6 +217,7 @@ def lcss_batch(q, rows, delta, epsilon, required):
     p2 = np.empty(n)
     wr = np.empty(n)
     for t in range(k):
+        needed = required[t]
         for x in range(n):
             p1[x] = 0.0
             p2[x] = 0.0
@@ -246,7 +249,7 @@ def lcss_batch(q, rows, delta, epsilon, required):
             cur_best = -np.inf
             for i in range(lo, hi + 1):
                 j = s - i
-                d = q[i] - rows[t, j]
+                d = qs[t, i] - rows[t, j]
                 if d < 0.0:
                     d = -d
                 match = 1.0 if d <= epsilon else 0.0
@@ -271,7 +274,7 @@ def lcss_batch(q, rows, delta, epsilon, required):
             p1 = wr
             p1_best = cur_best
             wr = tmp
-            if required > 0.0:
+            if needed > 0.0:
                 # From any cell on diagonal s, at most n - 1 - ceil(s/2)
                 # further matches remain (a match advances both coordinates).
                 # A path may also jump from diagonal s - 1 straight to s + 1,
@@ -280,7 +283,7 @@ def lcss_batch(q, rows, delta, epsilon, required):
                 reach_prev = p2_best + (n - 1 - s // 2)
                 if reach_prev > reach:
                     reach = reach_prev
-                if reach < required:
+                if reach < needed:
                     doomed = True
                     break
         if doomed:

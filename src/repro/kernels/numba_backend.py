@@ -28,8 +28,8 @@ __all__ = ["NumbaBackend"]
 _JIT = {"cache": True, "nogil": True}
 
 _dtw_single = njit(**_JIT)(_dp.dtw_single)
-_dtw_batch = njit(**_JIT)(_dp.dtw_batch)
-_lcss_batch = njit(**_JIT)(_dp.lcss_batch)
+_dtw_pairwise = njit(**_JIT)(_dp.dtw_pairwise)
+_lcss_pairwise = njit(**_JIT)(_dp.lcss_pairwise)
 _lb_keogh = njit(**_JIT)(_dp.lb_keogh)
 _lb_improved_pass2 = njit(**_JIT)(_dp.lb_improved_pass2)
 _lb_improved_batch = njit(**_JIT)(_dp.lb_improved_batch)
@@ -51,15 +51,14 @@ class NumbaBackend(KernelBackend):
         dist, steps, abandoned = _dtw_single(q, c, radius, self._squared_threshold(r))
         return float(dist), int(steps), bool(abandoned)
 
-    def dtw_batch(self, q, rows, radius, r):
-        q, rows = _c1(q, rows)
-        dists, steps, abandoned = _dtw_batch(q, rows, radius, self._squared_threshold(r))
+    def dtw_pairwise(self, qs, rows, radius, r):
+        qs, rows, thresholds = _c1(qs, rows, self._squared_thresholds(r))
+        dists, steps, abandoned = _dtw_pairwise(qs, rows, radius, thresholds)
         return dists, int(steps), abandoned
 
-    def lcss_batch(self, q, rows, delta, epsilon, min_similarity):
-        q, rows = _c1(q, rows)
-        required = min_similarity * q.shape[0]
-        sims, steps, abandoned = _lcss_batch(q, rows, delta, float(epsilon), float(required))
+    def lcss_pairwise(self, qs, rows, delta, epsilon, required):
+        qs, rows, required = _c1(qs, rows, required)
+        sims, steps, abandoned = _lcss_pairwise(qs, rows, delta, float(epsilon), required)
         return sims, int(steps), abandoned
 
     def lb_keogh(self, q, upper, lower, r):

@@ -84,15 +84,14 @@ class ScalarBackend(KernelBackend):
     def dtw_single(self, q, c, radius, r):
         return dtw_single_pair(q, c, radius, r)
 
-    def dtw_batch(self, q, rows, radius, r):
-        q, rows = self._coerce(q, rows)
-        dists, steps, abandoned = _dp.dtw_batch(q, rows, radius, self._squared_threshold(r))
+    def dtw_pairwise(self, qs, rows, radius, r):
+        qs, rows = self._coerce(qs, rows)
+        dists, steps, abandoned = _dp.dtw_pairwise(qs, rows, radius, self._squared_thresholds(r))
         return dists, int(steps), abandoned
 
-    def lcss_batch(self, q, rows, delta, epsilon, min_similarity):
-        q, rows = self._coerce(q, rows)
-        required = min_similarity * q.shape[0]
-        sims, steps, abandoned = _dp.lcss_batch(q, rows, delta, epsilon, required)
+    def lcss_pairwise(self, qs, rows, delta, epsilon, required):
+        qs, rows, required = self._coerce(qs, rows, required)
+        sims, steps, abandoned = _dp.lcss_pairwise(qs, rows, delta, epsilon, required)
         return sims, int(steps), abandoned
 
     def lb_keogh(self, q, upper, lower, r):

@@ -13,13 +13,17 @@ boundaries are non-decreasing in ``s``, so every future read window is
 covered).  The floating-point operation sequence per cell is unchanged, so
 results and step counts stay bit-identical to the scalar reference.
 
+Both dynamic programs are *pairwise*: row ``t`` carries its own query row
+and its own threshold, which is what the block engine
+(:mod:`repro.core.block`) refines survivors with.  The one-query
+``dtw_batch``/``lcss_batch`` are the same kernels with the query
+broadcast, so each measure has one anti-diagonal loop.
+
 This backend has no dependencies beyond NumPy and is the auto-selected
 fallback whenever the optional numba backend is unavailable.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,12 +34,12 @@ from repro.kernels.scalar import dtw_single_pair
 __all__ = ["WavefrontBackend"]
 
 
-def _dtw_batch_wavefront(q, rows, radius: int, threshold: float):
-    """Vectorised anti-diagonal banded DTW with sentinel-column buffers."""
+def _dtw_pairwise_wavefront(qs, rows, radius: int, thresholds: np.ndarray):
+    """Vectorised anti-diagonal banded DTW of each pair ``(qs[t], rows[t])``
+    with sentinel-column buffers and per-pair squared thresholds."""
     from repro.core.batch import shared_workspace
 
-    n = q.size
-    k = rows.shape[0]
+    k, n = rows.shape
     workspace = shared_workspace()
     p2 = workspace.scratch("wavefront_dtw_a", (k, n + 1))
     p1 = workspace.scratch("wavefront_dtw_b", (k, n + 1))
@@ -46,7 +50,7 @@ def _dtw_batch_wavefront(q, rows, radius: int, threshold: float):
     p2_min = np.full(k, np.inf)
     alive = np.ones(k, dtype=bool)
     steps = 0
-    finite = math.isfinite(threshold)
+    finite = bool(np.isfinite(thresholds).any())
 
     for s in range(2 * n - 1):
         lo, hi = diag_bounds(s, n, radius)
@@ -62,9 +66,7 @@ def _dtw_batch_wavefront(q, rows, radius: int, threshold: float):
         # Cell i of diagonal s lands in column i+1; its j-coordinate runs
         # s-lo down to s-hi as i runs lo..hi (hence the reversed slice).
         target = wr[:, lo + 1 : hi + 2]
-        np.subtract(
-            rows[:, s - hi : s - lo + 1][:, ::-1], q[lo : hi + 1][np.newaxis, :], out=target
-        )
+        np.subtract(rows[:, s - hi : s - lo + 1][:, ::-1], qs[:, lo : hi + 1], out=target)
         np.square(target, out=target)
         if s > 0:
             # Transitions: (i-1, j) and (i, j-1) live on diagonal s-1 at
@@ -90,7 +92,7 @@ def _dtw_batch_wavefront(q, rows, radius: int, threshold: float):
             # A complete path must touch anti-diagonal s or s+1, so once
             # the minima of the two most recent diagonals both exceed r^2
             # no path can finish within r.
-            doomed = (np.minimum(p1_min, p2_min) > threshold) & alive
+            doomed = (np.minimum(p1_min, p2_min) > thresholds) & alive
             if doomed.any():
                 alive &= ~doomed
                 if not alive.any():
@@ -100,16 +102,17 @@ def _dtw_batch_wavefront(q, rows, radius: int, threshold: float):
     final = p1[:, n].copy()
     finished = alive & np.isfinite(final)
     if finite:
-        finished &= final <= threshold
+        finished &= final <= thresholds
     distances[finished] = np.sqrt(final[finished])
     abandoned = ~finished
     return distances, steps, abandoned
 
 
-def _lcss_batch_wavefront(q, rows, delta: int, epsilon: float, required: float):
-    """Vectorised anti-diagonal banded LCSS (zero-padded buffers, max DP)."""
-    n = q.size
-    k = rows.shape[0]
+def _lcss_pairwise_wavefront(qs, rows, delta: int, epsilon: float, required: np.ndarray):
+    """Vectorised anti-diagonal banded LCSS of each pair ``(qs[t], rows[t])``
+    (zero-padded buffers, max DP, per-pair required match counts)."""
+    k, n = rows.shape
+    abandoning = bool((required > 0).any())
 
     # Missing predecessors -- the virtual row/column -1 and cells outside
     # the band -- are read as 0.  This is exact: every optimal in-band match
@@ -131,9 +134,8 @@ def _lcss_batch_wavefront(q, rows, delta: int, epsilon: float, required: float):
             prev1_best = np.zeros(k)
             continue
         width = hi - lo + 1
-        q_slice = q[lo : hi + 1]
         c_slice = rows[:, s - hi : s - lo + 1][:, ::-1]
-        match = (np.abs(c_slice - q_slice[np.newaxis, :]) <= epsilon).astype(np.float64)
+        match = (np.abs(c_slice - qs[:, lo : hi + 1]) <= epsilon).astype(np.float64)
 
         if s == 0:
             current = match
@@ -154,7 +156,7 @@ def _lcss_batch_wavefront(q, rows, delta: int, epsilon: float, required: float):
         prev1[:, lo : hi + 1] = current
         prev1_best = new_best
 
-        if required > 0:
+        if abandoning:
             # From any cell on diagonal s, at most n - 1 - ceil(s/2) further
             # matches are possible (each match advances both coordinates).
             # A path may also jump from diagonal s - 1 straight to s + 1, so
@@ -197,14 +199,13 @@ class WavefrontBackend(KernelBackend):
         # shares the scalar implementation for this one operation.
         return dtw_single_pair(q, c, radius, r)
 
-    def dtw_batch(self, q, rows, radius, r):
-        q, rows = self._coerce(q, rows)
-        return _dtw_batch_wavefront(q, rows, radius, self._squared_threshold(r))
+    def dtw_pairwise(self, qs, rows, radius, r):
+        qs, rows = self._coerce(qs, rows)
+        return _dtw_pairwise_wavefront(qs, rows, radius, self._squared_thresholds(r))
 
-    def lcss_batch(self, q, rows, delta, epsilon, min_similarity):
-        q, rows = self._coerce(q, rows)
-        required = min_similarity * q.shape[0]
-        return _lcss_batch_wavefront(q, rows, delta, epsilon, required)
+    def lcss_pairwise(self, qs, rows, delta, epsilon, required):
+        qs, rows, required = self._coerce(qs, rows, required)
+        return _lcss_pairwise_wavefront(qs, rows, delta, epsilon, required)
 
     def lb_keogh(self, q, upper, lower, r):
         from repro.core.batch import shared_workspace

@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import atexit
 import contextlib
+import math
 import signal
 import threading
 import time
@@ -368,6 +369,13 @@ class ShardedSearchService:
                         fut.set_result(_error("internal", repr(exc)))
 
     def _normalize(self, message: dict) -> dict:
+        """Validate a knn/range message into the request shipped to workers.
+
+        Everything a worker could not answer is refused here as
+        ``bad-request``: a query of the wrong length or with a non-finite
+        value, ``k < 1``, a NaN, infinite or negative ``radius`` or
+        ``max_degrees``, and a non-positive or non-finite ``timeout_ms``.
+        """
         kind = message["op"]
         query = message.get("query")
         if not isinstance(query, list) or not query:
@@ -376,19 +384,26 @@ class ShardedSearchService:
             raise ValueError(
                 f"query length {len(query)} != shard set length {self.manifest.length}"
             )
+        values = [float(x) for x in query]
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("query values must be finite numbers")
         timeout_ms = message.get("timeout_ms")
         if timeout_ms is None:
             budget = self.request_timeout
         else:
             budget = float(timeout_ms) / 1000.0
-            if budget <= 0:
-                raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
+            if not math.isfinite(budget) or budget <= 0:
+                raise ValueError(f"timeout_ms must be a positive finite number, got {timeout_ms}")
+        max_degrees = message.get("max_degrees")
+        if max_degrees is not None:
+            max_degrees = float(max_degrees)
+            if not (math.isfinite(max_degrees) and max_degrees >= 0):
+                raise ValueError(f"max_degrees must be a non-negative finite number, got {max_degrees}")
         request = {
             "kind": kind,
-            "query": [float(x) for x in query],
+            "query": values,
             "mirror": bool(message.get("mirror", False)),
-            "max_degrees": message.get("max_degrees"),
-            "wedge_set_size": int(message.get("wedge_set_size", 8)),
+            "max_degrees": max_degrees,
             "allow_partial": bool(message.get("allow_partial", False)),
             "deadline": time.monotonic() + budget,
         }
@@ -399,8 +414,8 @@ class ShardedSearchService:
             request["k"] = k
         else:
             radius = float(message["radius"])
-            if radius < 0:
-                raise ValueError(f"radius must be non-negative, got {radius}")
+            if not (math.isfinite(radius) and radius >= 0):
+                raise ValueError(f"radius must be a non-negative finite number, got {radius}")
             request["radius"] = radius
         return request
 
@@ -408,7 +423,6 @@ class ShardedSearchService:
         knobs = {
             "mirror": request["mirror"],
             "max_degrees": request["max_degrees"],
-            "wedge_set_size": request["wedge_set_size"],
         }
         if request["kind"] == "knn":
             knobs["k"] = request["k"]
@@ -468,7 +482,7 @@ class ShardedSearchService:
                 )
             try:
                 request = self._normalize(message)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 plans.append(("done", _error("bad-request", str(exc))))
                 continue
             if request["deadline"] <= time.monotonic():

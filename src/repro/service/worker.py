@@ -108,7 +108,6 @@ def _search_one(request: dict, data, measure, counter, tracer=None, pruner=None)
     common = {
         "mirror": bool(request.get("mirror", False)),
         "max_degrees": request.get("max_degrees"),
-        "wedge_set_size": int(request.get("wedge_set_size", 8)),
         "counter": counter,
         "tracer": tracer if tracer is not None else NULL_TRACER,
         "pruner": pruner,

@@ -4,6 +4,8 @@ Everything runs against real worker processes over real pipes (and one
 real TCP round-trip), scaled small so the suite stays fast on one core.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,42 @@ class TestQueries:
         assert not missing_radius["ok"]
         unknown = handle.request({"op": "frobnicate"})
         assert not unknown["ok"]
+
+
+class TestRequestValidation:
+    """Inputs no worker could answer are refused at the coordinator, so a
+    poisoned request never reaches -- or crash-loops -- a shard worker."""
+
+    @pytest.fixture
+    def fresh(self, shard_dir):
+        handle = start_service_thread(shard_dir, EuclideanMeasure(), cache_size=0)
+        yield handle
+        handle.close()
+
+    def test_non_finite_inputs_are_bad_requests(self, fresh, walks):
+        query = list(walks[3] + 0.01)
+        poisoned = [
+            {"op": "knn", "query": [math.nan] + query[1:], "k": 2},
+            {"op": "knn", "query": query[:-1] + [math.inf], "k": 2},
+            {"op": "knn", "query": query, "k": math.inf},
+            {"op": "range", "query": query, "radius": math.nan},
+            {"op": "range", "query": query, "radius": math.inf},
+            {"op": "range", "query": query, "radius": -1.0},
+            {"op": "knn", "query": query, "k": 2, "timeout_ms": math.nan},
+            {"op": "knn", "query": query, "k": 2, "timeout_ms": math.inf},
+            {"op": "knn", "query": query, "k": 2, "max_degrees": math.nan},
+        ]
+        for message in poisoned:
+            reply = fresh.request(message)
+            assert reply["ok"] is False, message
+            assert reply["error"]["type"] == "bad-request", (message, reply)
+        health = fresh.request({"op": "health"})
+        assert health["status"] == "ok"
+        assert health["restarts"] == 0
+        reply = fresh.request({"op": "knn", "query": query, "k": 3})
+        assert reply["ok"], reply
+        expected = knn_search(walks, np.array(query), EuclideanMeasure(), k=3)
+        assert reply["neighbors"] == [[nb.index, nb.distance, nb.rotation] for nb in expected]
 
 
 class TestCache:
