@@ -18,6 +18,9 @@ Run directly::
 
     python benchmarks/bench_batch_engine.py            # acceptance size
     python benchmarks/bench_batch_engine.py --quick    # CI smoke size
+
+The table lands in ``benchmarks/results/batch_engine.txt``; ``--quick``
+writes it under the git-ignored ``benchmarks/results/obs_quick/`` instead.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from harness import time_search_many, write_result  # noqa: E402
+from harness import QUICK_RESULTS_DIR, RESULTS_DIR, time_search_many, write_result  # noqa: E402
 
 from repro.core.search import RotationQuery, early_abandon_search  # noqa: E402
 from repro.distances.euclidean import EuclideanMeasure, ea_euclidean_distance  # noqa: E402
@@ -175,7 +178,7 @@ def main(argv=None) -> int:
     lines += compare_search_many(
         m=max(40, m // 4), n=n, n_queries=4 if args.quick else 8, jobs=4
     )
-    write_result("batch_engine", "\n".join(lines))
+    write_result("batch_engine", "\n".join(lines), QUICK_RESULTS_DIR if args.quick else RESULTS_DIR)
 
     if args.min_speedup is not None and speedup < args.min_speedup:
         print(

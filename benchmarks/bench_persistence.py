@@ -22,7 +22,7 @@ while enforcing the exactness contract as hard invariants (non-zero exit):
 
 The numbers land in ``benchmarks/results/BENCH_persistence.json`` with an
 embedded provenance block.  ``--quick`` shrinks the corpus for the CI
-smoke run.
+smoke run and writes under the git-ignored ``benchmarks/results/obs_quick/``.
 """
 
 from __future__ import annotations
@@ -186,7 +186,12 @@ def main(argv=None) -> int:
 
     import harness
 
-    harness.write_json_result("BENCH_persistence", report, phases)
+    harness.write_json_result(
+        "BENCH_persistence",
+        report,
+        phases,
+        directory=harness.QUICK_RESULTS_DIR if args.quick else harness.RESULTS_DIR,
+    )
 
     if failures:
         print("\nBENCH_persistence FAILED:", file=sys.stderr)

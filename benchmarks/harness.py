@@ -38,6 +38,9 @@ from repro.core.search import (
 from repro.distances.base import Measure
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+#: Where ``--quick`` smoke runs write, git-ignored so they never overwrite
+#: the committed acceptance-size artifacts.
+QUICK_RESULTS_DIR = RESULTS_DIR / "obs_quick"
 
 
 def scale() -> float:
@@ -77,9 +80,9 @@ class SpeedupResult:
         return "\n".join(lines)
 
 
-def write_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+def write_result(name: str, text: str, directory: Path = RESULTS_DIR) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
 
@@ -89,6 +92,7 @@ def write_json_result(
     payload: dict,
     phase_timings: dict[str, float] | None = None,
     provenance_extra: dict | None = None,
+    directory: Path = RESULTS_DIR,
 ) -> Path:
     """Write a ``BENCH_*.json`` artifact with an embedded provenance block.
 
@@ -99,10 +103,11 @@ def write_json_result(
     blamed on the right phase.  ``provenance_extra`` merges additional
     benchmark-specific facts (e.g. the service benchmark stamps its
     resolved kernel backend and shard counts) into the provenance block.
+    ``directory`` defaults to ``benchmarks/results/``.
     """
     from repro.obs.provenance import provenance_block
 
-    RESULTS_DIR.mkdir(exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
     extra: dict = {"benchmark": name}
     if phase_timings:
         extra["phase_timings_s"] = {k: round(v, 4) for k, v in phase_timings.items()}
@@ -110,7 +115,7 @@ def write_json_result(
         extra.update(provenance_extra)
     document = dict(payload)
     document["provenance"] = provenance_block(extra)
-    path = RESULTS_DIR / f"{name}.json"
+    path = directory / f"{name}.json"
     path.write_text(json.dumps(document, indent=2) + "\n")
     print(f"[written to {path}]")
     return path

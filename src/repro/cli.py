@@ -484,12 +484,6 @@ def cmd_serve(args) -> int:
     from repro.service.worker import RestartPolicy
 
     measure = _build_measure(args)
-    from repro.core.planner import parse_plan
-
-    try:
-        parse_plan(args.plan, measure)  # fail fast on a malformed spec
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
     query_log = None
     if args.obs_log:
         from repro.obs.querylog import QueryLogger
@@ -511,7 +505,7 @@ def cmd_serve(args) -> int:
         print(
             f"repro-service listening on {args.host}:{port} "
             f"({service.manifest.n_shards} shards, {service.manifest.objects} objects, "
-            f"measure={measure.name}, backend={service.backend}, plan={service.plan_spec}, "
+            f"measure={measure.name}, backend={service.backend}, "
             f"cache={'on' if service.cache is not None else 'off'}{telemetry})",
             flush=True,
         )
@@ -523,7 +517,6 @@ def cmd_serve(args) -> int:
             args.host,
             args.port,
             cache_size=args.cache_size,
-            plan=args.plan,
             batch_window=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
             query_log=query_log,
@@ -807,15 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_args(serve)
     serve.add_argument(
         "--cache-size", type=int, default=1024, help="answer cache capacity (0 disables)"
-    )
-    serve.add_argument(
-        "--plan",
-        default="auto",
-        metavar="SPEC",
-        help=(
-            "query plan: 'auto' (cost-model planner, the default) or "
-            "'fixed:<tier>[><tier>...]', e.g. fixed:keogh>improved"
-        ),
     )
     serve.add_argument(
         "--batch-window-ms",

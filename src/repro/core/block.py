@@ -18,12 +18,18 @@ rotation-invariant measure -- and drops the hierarchy:
    sequential-accumulation rule.
 4. Stable-argsort the bounds and visit the pairs in that order,
    :data:`REFINE_BLOCK` at a time.  In each block: drop the pairs that
-   cannot change the answer, run LB_Improved on the rest when the plan
-   asks for it, refine the survivors with one pairwise-kernel call in
-   which each pair abandons at ``min(best[object], k-th)``, then tighten
-   the threshold.
+   cannot change the answer, run LB_Improved on the rest (DTW with a
+   radius above 0 only), refine the survivors with one pairwise-kernel
+   call in which each pair abandons at ``min(best[object], k-th)``, then
+   tighten the threshold.
 5. Stop at the first bound that cannot matter.  Euclidean distance needs
    no refinement: its bound against a single rotation is the distance.
+
+The engine has one configuration, chosen from the measure alone
+(:func:`bound_tiers`): LB_Keogh always runs (it sets the visiting order),
+LB_Improved runs for DTW with a radius above 0 and never for LCSS, where
+it cost more than it saved in every measured case (docs/PLANNER.md has
+the table).
 
 Exactness rules (each pinned by ``tests/test_block_engine.py``):
 
@@ -57,7 +63,7 @@ from repro.distances.euclidean import EuclideanMeasure
 from repro.distances.lcss import LCSSMeasure
 from repro.obs.trace import NULL_TRACER
 
-__all__ = ["BOUND_BLOCK_ELEMENTS", "REFINE_BLOCK", "block_search"]
+__all__ = ["BOUND_BLOCK_ELEMENTS", "REFINE_BLOCK", "block_search", "bound_tiers"]
 
 #: Most elements one LB_Keogh broadcast temporary may hold (512 KiB of
 #: float64); the object block shrinks to fit, down to one object.
@@ -66,6 +72,18 @@ BOUND_BLOCK_ELEMENTS = 1 << 16
 #: Pairs visited per refinement block: the threshold tightens between
 #: blocks, and each block's survivors go to one pairwise-kernel call.
 REFINE_BLOCK = 128
+
+
+def bound_tiers(measure: Measure) -> tuple[str, ...]:
+    """The bound tiers the engine runs for ``measure``, in order.
+
+    LB_Keogh always runs: it sets the visiting order.  LB_Improved runs
+    for DTW with a radius above 0 (at radius 0 the envelope is the
+    rotation itself, so the second pass cannot tighten the first).
+    """
+    if isinstance(measure, DTWMeasure) and measure.radius > 0:
+        return ("keogh", "improved")
+    return ("keogh",)
 
 
 def _inclusive(thresholds: np.ndarray) -> np.ndarray:
@@ -109,10 +127,6 @@ class _Keys:
 
     def radius_key(self, radius: float) -> float:
         return radius
-
-    def improves(self, pruner) -> bool:
-        """Whether :meth:`improve` (LB_Improved on survivors) runs."""
-        return False
 
     def refine(self, objects, rot, thresholds):
         """``(keys, distances, steps, abandoned)`` of each pair, pair ``t``
@@ -159,10 +173,7 @@ class _DTWKeys(_EuclideanKeys):
 
         return batch_sliding_envelope(rotations, self.measure.radius)
 
-    def improves(self, pruner):
-        return pruner is not None and pruner.use_improved and self.measure.radius > 0
-
-    def improve(self, objects, rot, keys):
+    def improve(self, objects, rot):
         rows = self.rotations[rot]
         bounds, steps = self.measure.resolved_backend().lb_improved_batch(
             objects, self.uppers[rot], self.lowers[rot], rows, rows, self.measure.radius, math.inf
@@ -198,16 +209,6 @@ class _LCSSKeys(_Keys):
         matches = np.arange(self.n + 1, dtype=np.float64)
         inside = 1.0 - matches / self.n <= radius
         return float(self.n - matches[inside].min())
-
-    def improves(self, pruner):
-        return pruner is not None and pruner.use_improved
-
-    def improve(self, objects, rot, keys):
-        rows = self.rotations[rot]
-        counts = self.measure.unmatchable_counts(
-            objects, self.uppers[rot], self.lowers[rot], rows, rows
-        )
-        return np.maximum(keys, counts), 2 * self.n * len(rot)
 
     def refine(self, objects, rot, thresholds):
         delta = min(self.measure.delta, self.n - 1)
@@ -245,8 +246,9 @@ def block_search(
     k-NN answers come in canonical ``(distance, index)`` order; range hits
     (distance at most ``radius``) in ascending index order.  ``rotations``
     is the ``(R, n)`` rotation matrix of the query.  ``pruner`` (a
-    :class:`~repro.core.cascade.CascadePolicy`) selects LB_Improved and
-    receives the per-pair tier funnel; ``tracer`` records one
+    :class:`~repro.core.cascade.CascadePolicy`) only receives the per-pair
+    tier funnel: the engine never reads its tier set, because which
+    bounds run is fixed by the measure.  ``tracer`` records one
     ``block.bounds`` span and one ``block.refine`` span per kernel call.
     """
     counter = counter if counter is not None else StepCounter()
@@ -279,7 +281,7 @@ def block_search(
     # or equal to it with an object index below ``limit_index`` (rule (a)).
     limit = math.inf if radius is None else keys.radius_key(radius)
     limit_index = m
-    improves = keys.improves(pruner)
+    improves = "improved" in bound_tiers(measure)
     survived = improved_out = refined = 0
 
     def useful(bound, obj):
@@ -298,7 +300,7 @@ def block_search(
         bound, obj, rot = bound[keep], obj[keep], rot[keep]
         survived += obj.size
         if obj.size and improves:
-            bound, steps = keys.improve(data[obj], rot, bound)
+            bound, steps = keys.improve(data[obj], rot)
             counter.lb_calls += obj.size
             counter.add(steps)
             keep = useful(bound, obj)

@@ -49,8 +49,7 @@ class QueryPlan:
     """An immutable, picklable description of how to execute one query.
 
     Frozen so it can be resolved once parent-side and shipped verbatim to
-    pool workers and shard workers (the same propagation rule PR 6
-    established for kernel backends).
+    pool workers (the same propagation rule as kernel backends).
     """
 
     strategy: str = "wedge"
@@ -67,7 +66,7 @@ class QueryPlan:
         return base
 
     def to_dict(self) -> dict:
-        """Wire form for JSON pipes (shard workers) and logs."""
+        """Wire form for JSON pipes and logs."""
         return {
             "strategy": self.strategy,
             "tiers": list(self.tiers),
@@ -144,7 +143,7 @@ def enumerate_plans(measure: Measure, backend: str | None = None) -> list[QueryP
 
 
 def parse_plan(spec: str, measure: Measure | None = None, backend: str | None = None):
-    """Parse a CLI/service plan spec.
+    """Parse a ``repro search --plan`` spec.
 
     ``"auto"`` returns ``None`` (callers construct a :class:`Planner`);
     ``"fixed:<t1>[><t2>...]"`` returns the pinned :class:`QueryPlan`.
@@ -197,9 +196,8 @@ class Planner:
     plan=...)``, as ``auto_search`` does), the planner probes a small
     shortlist of candidate plans -- the step model's pick plus the minimal
     plans it cannot rank -- and commits to the measured fastest,
-    re-evaluating as samples accumulate.  Without wall
-    telemetry (the sharded service's deterministic path) the steps model
-    alone decides.
+    re-evaluating as samples accumulate.  Without wall telemetry the
+    steps model alone decides.
 
     Until a tier has been observed (``reached == 0``) the planner keeps the
     measure's canonical default membership, so a cold planner emits exactly

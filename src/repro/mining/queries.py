@@ -68,10 +68,9 @@ def knn_search(
     order, at its best distance.  ``tracer`` (a :class:`repro.obs.Tracer`)
     records the engine's ``block.bounds`` / ``block.refine`` spans; it
     never affects answers or step counts.  ``pruner`` (a
-    :class:`~repro.core.cascade.CascadePolicy`, typically configured from
-    a :class:`~repro.core.planner.QueryPlan`) switches LB_Improved on when
-    its tiers include it and accumulates the per-pair tier funnel;
-    ``None`` runs LB_Keogh alone.  Answers are identical either way.
+    :class:`~repro.core.cascade.CascadePolicy`) only accumulates the
+    per-pair tier funnel; its tier set is never read, because the measure
+    alone fixes which bounds run (:mod:`repro.core.block`).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -105,7 +104,9 @@ def range_search(
     :func:`repro.core.search.merge_range_hits` preserves when shard-level
     hit lists are merged.  Objects at *exactly* ``radius`` are included:
     the engine computes every pair at its threshold exactly and reports
-    each object whose distance is ``<= radius``.
+    each object whose distance is ``<= radius``.  ``tracer`` and
+    ``pruner`` behave as in :func:`knn_search`: the pruner is only the
+    sink of the tier funnel.
     """
     if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")

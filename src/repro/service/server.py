@@ -52,7 +52,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.planner import DatasetStats, Planner, parse_plan
+from repro.core.block import bound_tiers
 from repro.obs.metrics import MetricsRegistry, registry_from_dict
 from repro.obs.slo import SloEngine, SloThresholds
 from repro.obs.trace import Tracer, new_span_id
@@ -114,7 +114,6 @@ class ShardedSearchService:
         trace_max_spans: int = 20_000,
         worker_trace_max_spans: int = 4096,
         slo_thresholds: SloThresholds | None = None,
-        plan: str = "auto",
     ):
         self.manifest = load_manifest(shards_dir)
         self.measure = measure
@@ -133,29 +132,6 @@ class ShardedSearchService:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.cache = AnswerCache(cache_size) if cache_size else None
         self.query_log = query_log
-        #: Query planning: ``"auto"`` builds a live :class:`Planner` fed by
-        #: the merged worker tier funnels (cache hits excluded);
-        #: ``"fixed:..."`` pins one plan for the process lifetime.  Either
-        #: way the plan is resolved once per micro-batch, shipped in the
-        #: worker chunk, and stamped on spans, query-log records, and
-        #: ``/health`` -- and either way answers are bit-identical.
-        self.plan_spec = plan
-        fixed = parse_plan(plan, measure, backend=self.backend)
-        if fixed is None:
-            self.planner = Planner(
-                measure,
-                DatasetStats(
-                    size=self.manifest.objects,
-                    length=self.manifest.length,
-                    n_rotations=self.manifest.length,
-                    measure=measure.name,
-                ),
-                backend=self.backend,
-            )
-            self.fixed_plan = None
-        else:
-            self.planner = None
-            self.fixed_plan = fixed
         self.registry = MetricsRegistry()
         self._requests_total = self.registry.counter(
             "service_requests_total", "Requests accepted by the front-end"
@@ -177,10 +153,7 @@ class ShardedSearchService:
         )
         self._cache_served = self.registry.counter(
             "service_cache_served_total",
-            "Replies replayed from the answer cache (excluded from planner feedback)",
-        )
-        self._plan_switches = self.registry.counter(
-            "service_plan_switches_total", "Times the planner changed the active query plan"
+            "Replies replayed from the answer cache",
         )
         self._trace_dropped_spans = self.registry.counter(
             "service_trace_dropped_spans_total",
@@ -323,7 +296,6 @@ class ShardedSearchService:
                 "measure": self.measure.name,
                 "backend": self.backend,
                 "cache": self.cache is not None,
-                "plan": self.current_plan().name,
             }
         if op == "health":
             return self._health_response()
@@ -439,21 +411,8 @@ class ShardedSearchService:
             **knobs,
         )
 
-    def current_plan(self):
-        """The plan this micro-batch will run: fixed, or the planner's pick."""
-        if self.fixed_plan is not None:
-            return self.fixed_plan
-        before = self.planner.plan_switches
-        plan = self.planner.plan()
-        if self.planner.plan_switches > before:
-            self._plan_switches.inc(self.planner.plan_switches - before)
-        return plan
-
     async def _run_batch(self, batch: list) -> None:
         self._batch_sizes.observe(len(batch))
-        # Consult the planner once per micro-batch; every shard chunk in
-        # this batch ships the same frozen plan (workers never re-plan).
-        plan = self.current_plan()
         # One stitched trace per micro-batch: the batch root span, a
         # queue-wait span per member, fan-out spans per shard attempt
         # (with worker subtrees rebased in), and the merge.  Tracing is
@@ -464,7 +423,7 @@ class ShardedSearchService:
         batch_start = time.perf_counter()
         if self.tracing:
             tracer = Tracer(max_spans=self.trace_max_spans)
-            batch_span = tracer.span("service.batch", batch_size=len(batch), plan=plan.name)
+            batch_span = tracer.span("service.batch", batch_size=len(batch))
         self._current_trace_id = tracer.trace_id if tracer is not None else None
         jobs: list[dict] = []  # distinct requests to actually compute
         job_keys: list[tuple | None] = []
@@ -501,12 +460,6 @@ class ShardedSearchService:
                         tracer.event("cache.hit", kind=request["kind"])
                     self._cache_served.inc(1, kind=request["kind"])
                     response = {**cached, "ok": True, "cached": True}
-                    if self.planner is not None:
-                        # A replayed answer's tier_stats describe work that
-                        # ran once, possibly under an older plan; feeding
-                        # them back would double-count and let a hot cached
-                        # query pin the plan.  Counted, never folded in.
-                        self.planner.observe(response.get("tier_stats"), cached=True)
                     self._log_query(request, response)
                     plans.append(("done", response))
                     continue
@@ -522,7 +475,7 @@ class ShardedSearchService:
         answers: list[dict | None] = []
         missing: list[tuple[int, dict]] = []  # (shard_id, structured error)
         if jobs:
-            outcomes, wall = await self._fan_out(jobs, tracer, batch_span, plan=plan)
+            outcomes, wall = await self._fan_out(jobs, tracer, batch_span)
             ok_replies = [
                 outcome for _status, outcome in (outcomes[w.shard_id] for w in self.workers)
                 if _status == "ok"
@@ -539,15 +492,10 @@ class ShardedSearchService:
                 if not ok_replies:
                     answers.append(None)
                     continue
-                answer = self._merge_job(request, j, ok_replies, wall, missing_ids, plan=plan)
-                if self.planner is not None and not missing:
-                    # Feed the merged worker funnel back into the cost
-                    # model.  Partial merges are skipped: a missing shard's
-                    # funnel would bias the rejection rates low.
-                    self.planner.observe(answer.get("tier_stats"))
-                if job_keys[j] is not None and not missing:
-                    # Partial answers are never cached: the cache must
-                    # only ever serve the full exact merge.
+                answer = self._merge_job(request, j, ok_replies, wall, missing_ids)
+                if job_keys[j] is not None and not missing and "error" not in answer:
+                    # Partial answers and failed requests are never cached:
+                    # the cache must only ever serve the full exact merge.
                     self.cache.put(job_keys[j], answer)
                 answers.append(answer)
             if tracer is not None:
@@ -599,6 +547,8 @@ class ShardedSearchService:
 
     def _job_response(self, request: dict, answer: dict | None, missing: list) -> dict:
         """Decide one message's reply from its job answer + missing shards."""
+        if answer is not None and "error" in answer:
+            return answer  # the request itself failed on the workers
         if not missing:
             response = {**answer, "ok": True, "cached": False}
             self._log_query(request, response)
@@ -674,7 +624,7 @@ class ShardedSearchService:
             tracer.dropped += dropped
             self._trace_dropped_spans.inc(dropped, side="worker")
 
-    async def _fan_out(self, jobs: list[dict], tracer=None, batch_span=None, plan=None):
+    async def _fan_out(self, jobs: list[dict], tracer=None, batch_span=None):
         """Ship one chunk to every worker, retrying failed shards once.
 
         Returns ``(outcomes, wall)`` where ``outcomes`` maps shard id to
@@ -709,11 +659,6 @@ class ShardedSearchService:
             else:
                 slice_timeout = remaining
             base_chunk = {"op": "search", "requests": wire, "budget_seconds": slice_timeout}
-            if plan is not None:
-                # The resolved plan rides the pipe as plain data (like the
-                # backend in the measure spec): every shard runs the same
-                # cascade this micro-batch.
-                base_chunk["plan"] = plan.to_dict()
             span_ids: list[str | None] = []
             calls = []
             for worker in ask:
@@ -817,14 +762,19 @@ class ShardedSearchService:
         shard_replies: list,
         wall: float,
         missing_ids: list[int] | None = None,
-        plan=None,
     ) -> dict:
         from repro.core.search import merge_neighbors, merge_range_hits
         from repro.mining.queries import Neighbor
 
+        entries = [reply["results"][j] for reply in shard_replies]
+        for entry in entries:
+            if "error" in entry:
+                # The request raised on a worker; the rest of the batch
+                # was still answered.
+                return _error(entry["error_type"], entry["error"])
         partials = [
-            [Neighbor(int(i), float(d), int(rot)) for i, d, rot in reply["results"][j]["neighbors"]]
-            for reply in shard_replies
+            [Neighbor(int(i), float(d), int(rot)) for i, d, rot in entry["neighbors"]]
+            for entry in entries
         ]
         if request["kind"] == "knn":
             merged = merge_neighbors(partials, request["k"])
@@ -832,7 +782,7 @@ class ShardedSearchService:
             # The explicit sharded range contract: ascending global index,
             # deduplicated, partition-invariant (see merge_range_hits).
             merged = merge_range_hits(partials)
-        steps = sum(reply["results"][j]["steps"] for reply in shard_replies)
+        steps = sum(entry["steps"] for entry in entries)
         answer = {
             "kind": request["kind"],
             "neighbors": [[nb.index, nb.distance, nb.rotation] for nb in merged],
@@ -844,19 +794,11 @@ class ShardedSearchService:
             "backend": self.backend,
             "measure": self.measure.name,
         }
-        if plan is not None:
-            answer["plan"] = plan.name
-        tier_totals: dict[str, int] | None = None
-        for reply in shard_replies:
-            stats = reply["results"][j].get("tier_stats")
-            if not stats:
-                continue
-            if tier_totals is None:
-                tier_totals = dict.fromkeys(stats, 0)
-            for key, value in stats.items():
+        tier_totals: dict[str, int] = {}
+        for entry in entries:
+            for key, value in entry["tier_stats"].items():
                 tier_totals[key] = tier_totals.get(key, 0) + int(value)
-        if tier_totals is not None:
-            answer["tier_stats"] = tier_totals
+        answer["tier_stats"] = tier_totals
         if missing_ids:
             answer["missing_shards"] = list(missing_ids)
         return answer
@@ -877,7 +819,6 @@ class ShardedSearchService:
                 "backend": self.backend,
                 "shards": self.manifest.n_shards,
                 "cached": response.get("cached", False),
-                "plan": response.get("plan"),
                 "partial": response.get("partial", False),
                 "k": request.get("k"),
                 "radius": request.get("radius"),
@@ -907,12 +848,11 @@ class ShardedSearchService:
         else:
             status = "ok"
         slo_snapshot = self.slo.snapshot()
-        if self.planner is not None:
-            planner_block = {"mode": "auto", **self.planner.snapshot()}
-        else:
-            planner_block = {"mode": "fixed", "plan": self.fixed_plan.name}
         return {
-            "planner": planner_block,
+            # No planner runs here: the block engine's tiers are fixed by
+            # the measure.  The block stays because perfbench/run.py reads
+            # ``health["planner"]`` on every run.
+            "planner": {"mode": "fixed", "plan": "block:" + ">".join(bound_tiers(self.measure))},
             "slo": {"alerts": self.slo.alerts(slo_snapshot), "windows": slo_snapshot},
             "ok": True,
             "server": "repro-service",

@@ -144,8 +144,13 @@ def worker_main(
     measure_spec: dict,
     fault_spec: dict | None = None,
 ) -> None:
-    """Child-process entry point: open the shard, answer until shutdown/EOF."""
-    from repro.core.cascade import empty_tier_stats
+    """Child-process entry point: open the shard, answer until shutdown/EOF.
+
+    A request that raises is answered with a ``bad-request`` entry in its
+    slot of the chunk's results; the other requests are still answered
+    and the worker keeps serving.
+    """
+    from repro.core.cascade import CascadePolicy
     from repro.core.counters import StepCounter
     from repro.core.search import SearchResult
     from repro.obs.metrics import MetricsRegistry, record_query
@@ -193,22 +198,10 @@ def worker_main(
             continue
         if op == "search":
             budget = message.get("budget_seconds")
-            # The coordinator resolves the query plan once per micro-batch
-            # and ships it in the chunk (the same propagation rule as the
-            # kernel backend): workers never re-plan on their own, so every
-            # shard runs the identical cascade.  One CascadePolicy serves
-            # the whole chunk and is reset() between requests so each
-            # query's tier funnel rides home independently.
-            plan_spec = message.get("plan")
-            pruner = None
-            plan_name = None
-            if plan_spec:
-                from repro.core.cascade import CascadePolicy
-                from repro.core.planner import QueryPlan
-
-                plan = QueryPlan.from_dict(plan_spec)
-                plan_name = plan.name
-                pruner = CascadePolicy(measure, tiers=plan.tiers)
+            # The funnel sink for the whole chunk, reset() between requests
+            # so each query's tier funnel rides home independently.  The
+            # engine never reads its tiers: the measure fixes which bounds run.
+            pruner = CascadePolicy(measure)
             # Adopt the coordinator's trace context when one was shipped
             # in the chunk; the subtree rides home in the reply as plain
             # data for the coordinator to stitch (see server._fan_out).
@@ -241,25 +234,29 @@ def worker_main(
                     if terminal is not None:
                         _apply_terminal_fault(terminal, conn)
                 counter = StepCounter()
-                kind = request["kind"]
-                if pruner is not None:
-                    pruner.reset()  # independent per-query funnel
+                kind = request.get("kind")
+                pruner.reset()
                 with tracer.span("worker.query", kind=kind) as query_span:
                     start = time.perf_counter()
-                    neighbors = _search_one(
-                        request,
-                        data,
-                        measure,
-                        counter,
-                        tracer if trace_ctx else None,
-                        pruner=pruner,
-                    )
+                    try:
+                        neighbors = _search_one(
+                            request,
+                            data,
+                            measure,
+                            counter,
+                            tracer if trace_ctx else None,
+                            pruner=pruner,
+                        )
+                    except Exception as exc:
+                        query_span.set(error=True)
+                        results.append(
+                            {"error": f"{type(exc).__name__}: {exc}", "error_type": "bad-request"}
+                        )
+                        continue
                     wall = time.perf_counter() - start
                     query_span.set(steps=counter.steps)
-                    if plan_name is not None:
-                        query_span.set(plan=plan_name)
                 requests_total.inc(1, shard=str(shard_id), kind=kind)
-                tier_stats = pruner.stats() if pruner is not None else None
+                tier_stats = pruner.stats()
                 top = neighbors[0] if neighbors else None
                 record_query(
                     SearchResult(
@@ -268,26 +265,22 @@ def worker_main(
                         top.rotation if top else -1,
                         counter,
                         f"service-{kind}",
-                        tier_stats=tier_stats or empty_tier_stats(),
-                        plan=plan_name,
+                        tier_stats=tier_stats,
                     ),
                     measure.name,
                     wall,
                     registry=registry,
                 )
-                entry = {
-                    # Local index -> global index via the shard offset.
-                    "neighbors": [
-                        [nb.index + offset, nb.distance, nb.rotation] for nb in neighbors
-                    ],
-                    "steps": counter.steps,
-                }
-                if tier_stats is not None:
-                    # Per-query funnel rides home so the coordinator can
-                    # feed the planner's cost model (cache hits excluded
-                    # coordinator-side).
-                    entry["tier_stats"] = tier_stats
-                results.append(entry)
+                results.append(
+                    {
+                        # Local index -> global index via the shard offset.
+                        "neighbors": [
+                            [nb.index + offset, nb.distance, nb.rotation] for nb in neighbors
+                        ],
+                        "steps": counter.steps,
+                        "tier_stats": tier_stats,
+                    }
+                )
             chunk_span.__exit__(None, None, None)
             reply: dict
             if aborted is not None:

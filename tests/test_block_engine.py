@@ -22,6 +22,7 @@ import pytest
 
 import repro.core.block as block
 from repro.core.cascade import CascadePolicy
+from repro.core.planner import enumerate_plans
 from repro.core.search import RotationQuery, merge_neighbors, merge_range_hits
 from repro.distances.base import Measure
 from repro.distances.dtw import DTWMeasure
@@ -244,12 +245,24 @@ class TestPairwiseKernelParity:
 
 
 class TestFunnelAndSpans:
-    def test_pair_funnel(self, walks):
+    def test_pair_funnel(self, monkeypatch, walks):
+        """The pruner is only the funnel sink: every tier set gives the same
+        funnel and the same answers, because the measure alone decides
+        which bounds run (LB_Improved for DTW, never for LCSS)."""
+        # Small blocks, so the threshold tightens while pairs are left for
+        # LB_Improved to reject (one 128-pair block refines all 224 pairs'
+        # survivors before any threshold exists).
+        monkeypatch.setattr(block, "REFINE_BLOCK", 16)
         data, query = walks
         for measure in (DTWMeasure(radius=3), LCSSMeasure(delta=2, epsilon=0.5), EuclideanMeasure()):
-            policy = CascadePolicy(measure)
-            knn_search(data, query, measure, k=3, pruner=policy)
-            stats = policy.stats()
+            reference = knn_search(data, query, measure, k=3)
+            funnels = set()
+            for plan in enumerate_plans(measure):
+                policy = CascadePolicy(measure, tiers=plan.tiers)
+                assert knn_search(data, query, measure, k=3, pruner=policy) == reference, plan.name
+                funnels.add(tuple(sorted(policy.stats().items())))
+            assert len(funnels) == 1, measure.name
+            stats = dict(funnels.pop())
             pairs = len(data) * len(query)
             assert stats["leaf_candidates"] == stats["keogh_reached"] == pairs
             assert stats["kim_rejections"] == 0
@@ -257,6 +270,10 @@ class TestFunnelAndSpans:
             assert stats["keogh_rejections"] + stats["improved_reached"] == pairs or measure.lb_exact_for_singleton
             if measure.lb_exact_for_singleton:
                 assert stats["full_computations"] == 0
+            if isinstance(measure, DTWMeasure):
+                assert stats["improved_rejections"] > 0
+            else:
+                assert stats["improved_rejections"] == 0
 
     def test_spans(self, walks):
         data, query = walks

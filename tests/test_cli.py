@@ -83,13 +83,12 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             main(["search", "--size", "10", "--plan", "fixed:improved"])
 
-    def test_serve_parser_accepts_plan(self):
+    def test_serve_parser_rejects_plan(self):
+        """The service's engine configuration is fixed by the measure."""
         args = build_parser().parse_args(["serve", "--shards", "shards/"])
-        assert args.plan == "auto"
-        args = build_parser().parse_args(
-            ["serve", "--shards", "shards/", "--plan", "fixed:keogh"]
-        )
-        assert args.plan == "fixed:keogh"
+        assert not hasattr(args, "plan")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shards", "shards/", "--plan", "auto"])
 
     def test_dtw_and_options(self, capsys):
         code = main(

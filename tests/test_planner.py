@@ -99,7 +99,8 @@ class TestPlanInvariance:
 
     @pytest.mark.parametrize("radius_q", [0.5, 1.0])
     def test_all_plans_bit_identical_knn_and_range(self, radius_q):
-        """Plans thread through knn_search / range_search via the pruner."""
+        """A pruner built from any plan leaves knn_search / range_search
+        answers unchanged: on the block engine it only collects the funnel."""
         from repro.core.cascade import CascadePolicy
         from repro.mining.queries import range_search
 

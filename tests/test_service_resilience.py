@@ -30,6 +30,7 @@ from repro.service import (
     RestartPolicy,
     ServiceClient,
     ShardDegradedError,
+    ShardWorker,
     SupervisedWorker,
     load_manifest,
     save_shards,
@@ -154,6 +155,44 @@ class TestSupervisedWorker:
             assert entry["restarts"] == 0
         finally:
             sup.stop()
+
+
+class TestBadRequestIsolation:
+    def test_a_raising_request_fails_alone_and_the_worker_lives(self, shard_dir, walks):
+        """One request that raises in the worker gets a structured error in
+        its slot; the rest of the chunk is answered and the process keeps
+        serving (no death, so no replay and no restart)."""
+        from repro.distances.dtw import DTWMeasure
+
+        manifest = load_manifest(shard_dir)
+        info = manifest.shards[0]
+        worker = ShardWorker(0, manifest.shard_path(0), info.offset, {"name": "dtw", "radius": 2})
+        try:
+            pid = worker.process.pid
+            query = walks[10] + 0.1
+            chunk = {
+                "op": "search",
+                "requests": [
+                    {"kind": "frobnicate", "query": [float(x) for x in query]},
+                    {"kind": "knn", "query": [float(x) for x in query], "k": 3},
+                ],
+            }
+            reply = worker.request(chunk, timeout=30)
+            assert reply["ok"], reply
+            bad, good = reply["results"]
+            assert bad["error_type"] == "bad-request"
+            assert "frobnicate" in bad["error"]
+            shard = walks[info.offset : info.offset + info.objects]
+            expected = knn_search(shard, query, DTWMeasure(radius=2), k=3)
+            assert good["neighbors"] == [
+                [nb.index + info.offset, nb.distance, nb.rotation] for nb in expected
+            ]
+            assert good["tier_stats"]["leaf_candidates"] > 0
+            assert worker.process.is_alive() and worker.process.pid == pid
+            again = worker.request(_chunk(walks), timeout=30)
+            assert again["ok"] and "neighbors" in again["results"][0]
+        finally:
+            worker.stop()
 
 
 def _partial_expected(walks, query, k):

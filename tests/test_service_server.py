@@ -242,93 +242,51 @@ class TestWorkerDeath:
             handle.close()
 
 
-class TestServicePlanner:
-    def test_health_exposes_the_planner_and_answers_stamp_the_plan(self, handle, walks):
-        query = walks[9] + 0.4
-        response = handle.request(
-            {"op": "knn", "query": list(query), "k": 2, "no_cache": True}
-        )
-        assert response["ok"]
-        assert response["plan"].startswith("wedge:")
-        assert response["tier_stats"]["leaf_candidates"] > 0
-        health = handle.request({"op": "health"})
-        planner = health["planner"]
-        assert planner["mode"] == "auto"
-        assert planner["plan"].startswith("wedge:")
-        assert planner["observations"] >= 1
-        ping = handle.request({"op": "ping"})
-        assert ping["plan"] == planner["plan"] or ping["plan"].startswith("wedge:")
+class TestEngineConfiguration:
+    def test_dtw_knn_and_range_bit_identical_to_single_process(self, shard_dir, walks):
+        """The service runs the same block engine configuration as
+        ``knn_search`` / ``range_search`` (LB_Improved on for banded DTW)."""
+        from repro.distances.dtw import DTWMeasure
 
-    def test_hot_cache_loop_does_not_shift_the_plan(self, shard_dir, walks):
-        """Satellite bugfix: cache-served answers replay recorded telemetry
-        and must not keep feeding the planner's cost model."""
-        handle = start_service_thread(shard_dir, EuclideanMeasure(), cache_size=32)
+        measure = DTWMeasure(radius=2)
+        handle = start_service_thread(shard_dir, measure, cache_size=0)
         try:
-            query = walks[7] + 0.6
-            handle.request({"op": "knn", "query": list(query), "k": 2})
-            # One cache-hit batch so the snapshot reflects the warmed plan
-            # (plans are recomputed at the top of each micro-batch).
-            assert handle.request({"op": "knn", "query": list(query), "k": 2})["cached"]
-            before = handle.request({"op": "health"})["planner"]
-            for _ in range(20):
-                hit = handle.request({"op": "knn", "query": list(query), "k": 2})
-                assert hit["cached"] is True
-            after = handle.request({"op": "health"})["planner"]
-            assert after["plan"] == before["plan"]
-            assert after["observations"] == before["observations"]
-            assert after["totals"] == before["totals"]
-            assert after["cached_skipped"] >= 20
-            metrics = handle.request({"op": "metrics"})
-            parsed = parse_prometheus_text(metrics["prometheus"])
-            served = sum(
-                value
-                for name, _labels, value in parsed["samples"]
-                if name == "service_cache_served_total"
-            )
-            assert served >= 20
-        finally:
-            handle.close()
-
-    def test_fixed_plan_mode_bit_identical_and_reported(self, shard_dir, walks):
-        measure = EuclideanMeasure()
-        handle = start_service_thread(
-            shard_dir, measure, cache_size=0, plan="fixed:keogh"
-        )
-        try:
-            query = walks[3] + 0.15
-            response = handle.request({"op": "knn", "query": list(query), "k": 3})
-            assert response["ok"]
-            # The service stamps its resolved backend onto the plan name.
-            assert response["plan"].startswith("wedge:keogh:")
-            expected = knn_search(walks, query, measure, k=3)
-            assert response["neighbors"] == [
-                [nb.index, nb.distance, nb.rotation] for nb in expected
-            ]
+            for qi in (2, 9, 15):
+                query = walks[qi] + 0.25
+                expected = knn_search(walks, query, measure, k=4)
+                response = handle.request({"op": "knn", "query": list(query), "k": 4})
+                assert response["ok"], response
+                assert response["neighbors"] == [
+                    [nb.index, nb.distance, nb.rotation] for nb in expected
+                ]
+                assert response["tier_stats"]["improved_reached"] > 0
+                radius = expected[-1].distance
+                hits = range_search(walks, query, measure, radius=radius)
+                response = handle.request(
+                    {"op": "range", "query": list(query), "radius": radius}
+                )
+                assert response["ok"], response
+                assert response["neighbors"] == [
+                    [nb.index, nb.distance, nb.rotation] for nb in hits
+                ]
             health = handle.request({"op": "health"})
-            assert health["planner"]["mode"] == "fixed"
-            assert health["planner"]["plan"].startswith("wedge:keogh:")
+            assert health["planner"] == {"mode": "fixed", "plan": "block:keogh>improved"}
+            assert "plan" not in handle.request({"op": "ping"})
         finally:
             handle.close()
 
-    def test_every_enumerable_fixed_plan_matches_auto(self, shard_dir, walks):
-        from repro.core.planner import enumerate_plans
-
-        measure = EuclideanMeasure()
-        query = walks[12] + 0.33
-        auto = start_service_thread(shard_dir, measure, cache_size=0)
-        try:
-            reference = auto.request({"op": "knn", "query": list(query), "k": 4})
-        finally:
-            auto.close()
-        assert reference["ok"]
-        for plan in enumerate_plans(measure):
-            spec = "fixed:" + (">".join(plan.tiers) or "none")
-            handle = start_service_thread(shard_dir, measure, cache_size=0, plan=spec)
-            try:
-                got = handle.request({"op": "knn", "query": list(query), "k": 4})
-            finally:
-                handle.close()
-            assert got["neighbors"] == reference["neighbors"], spec
+    def test_a_request_that_failed_on_the_workers_is_answered_alone(self, handle):
+        service = handle.service
+        request = {"kind": "knn", "k": 1}
+        ok_entry = {"neighbors": [[0, 0.5, 0]], "steps": 10, "tier_stats": {"leaf_candidates": 1}}
+        bad_entry = {"error": "ValueError: boom", "error_type": "bad-request"}
+        replies = [{"ok": True, "results": [bad_entry, ok_entry]}] * 3
+        answer = service._merge_job(request, 0, replies, 0.0)
+        assert answer == {"ok": False, "error": {"type": "bad-request", "message": "ValueError: boom"}}
+        assert service._job_response(request, answer, []) == answer
+        merged = service._merge_job(request, 1, replies, 0.0)
+        assert merged["neighbors"] == [[0, 0.5, 0]]
+        assert merged["tier_stats"] == {"leaf_candidates": 3}
 
 
 class TestQueryLog:
@@ -354,5 +312,5 @@ class TestQueryLog:
             assert record["shards"] == 3
             assert record["op"] == "knn"
             assert record["steps"] > 0
-            assert record["plan"].startswith("wedge:")
+            assert "plan" not in record
         assert [record["cached"] for record in records] == [False, True]
