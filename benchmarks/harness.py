@@ -103,7 +103,6 @@ def write_json_result(
     blamed on the right phase.  ``provenance_extra`` merges additional
     benchmark-specific facts (e.g. the service benchmark stamps its
     resolved kernel backend and shard counts) into the provenance block.
-    ``directory`` defaults to ``benchmarks/results/``.
     """
     from repro.obs.provenance import provenance_block
 
